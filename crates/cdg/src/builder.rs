@@ -73,6 +73,18 @@ impl CdgBuilder {
         closed_cycle
     }
 
+    /// Build the CDG of a whole table through the selected engine,
+    /// returning it with the engine's online acyclicity verdict (one
+    /// `cdg.build`, like [`Cdg::build`]).
+    pub fn build_table(net: &Network, table: &TableRouting, engine: SccEngineKind) -> (Cdg, bool) {
+        let _span = wormtrace::span("cdg.build");
+        wormtrace::counter("cdg.builds", 1);
+        let mut builder = CdgBuilder::with_engine(net, engine);
+        builder.add_table(table);
+        let acyclic = builder.is_acyclic();
+        (builder.finish(), acyclic)
+    }
+
     /// Stream every path of a table through [`CdgBuilder::add_path`].
     /// Returns `true` when any dependency closed a cycle.
     pub fn add_table(&mut self, table: &TableRouting) -> bool {

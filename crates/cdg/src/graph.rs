@@ -26,6 +26,8 @@ pub struct Cdg {
 impl Cdg {
     /// Build the CDG of `table` on `net`.
     pub fn build(net: &Network, table: &TableRouting) -> Self {
+        let _span = wormtrace::span("cdg.build");
+        wormtrace::counter("cdg.builds", 1);
         let channel_count = net.channel_count();
         let mut edges: BTreeMap<(ChannelId, ChannelId), Vec<MsgPair>> = BTreeMap::new();
         for (&pair, path) in table.iter() {

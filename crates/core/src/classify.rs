@@ -9,15 +9,20 @@
 //! unreachable is deadlock-free *despite* its cyclic dependencies —
 //! the paper's headline phenomenon.
 
-use wormcdg::sharing::{self, SharingAnalysis};
-use wormcdg::{enumerate_candidates, Cdg, CdgBuilder, CdgCycle, DeadlockCandidate};
+use std::sync::Arc;
+
+use wormcdg::{CdgCycle, DeadlockCandidate};
+use wormexist::ExistOptions;
 use wormnet::graph::SccEngineKind;
 use wormnet::Network;
-use wormroute::{properties, TableRouting};
+use wormroute::TableRouting;
 use wormsearch::{explore, explore_parallel, explore_until, SearchConfig, Verdict};
 use wormsim::{MessageId, MessageSpec, Sim};
 
-use crate::conditions::{eight_conditions, EightConditions};
+use crate::analysis::{
+    Analysis, AnalysisOptions, CandidateAnalysis, CycleAnalysis, Scope, StaticClass,
+};
+use crate::conditions::EightConditions;
 
 /// Why a candidate was classified the way it was.
 #[derive(Clone, Debug)]
@@ -49,8 +54,9 @@ pub enum CycleClass {
 /// Verdict for one static deadlock candidate.
 #[derive(Clone, Debug)]
 pub struct CandidateVerdict {
-    /// The candidate configuration.
-    pub candidate: DeadlockCandidate,
+    /// The candidate configuration (shared with the [`Analysis`] it was
+    /// classified from).
+    pub candidate: Arc<DeadlockCandidate>,
     /// How it was decided.
     pub class: CycleClass,
     /// `Some(true)` = a deadlock is reachable; `Some(false)` = this
@@ -187,6 +193,25 @@ impl ClassifyOptions {
             ..ClassifyOptions::default()
         }
     }
+
+    /// The analysis these options classify: their cycle and candidate
+    /// budgets and SCC engine, default existence budgets, and only what
+    /// the fold reads ([`Scope::Verdict`]) — unless theorem verdicts
+    /// are re-checked by search, which may refute a theorem-certified
+    /// candidate and so read past it.
+    pub fn analysis_options(&self) -> AnalysisOptions {
+        AnalysisOptions {
+            max_cycles: self.max_cycles,
+            max_candidates: self.max_candidates,
+            scc_engine: self.scc_engine,
+            exist: ExistOptions::default(),
+            scope: if self.verify_theorems_with_search {
+                Scope::Complete
+            } else {
+                Scope::Verdict
+            },
+        }
+    }
 }
 
 /// Publish classification provenance into the global [`wormtrace`]
@@ -214,116 +239,68 @@ fn record_provenance(verdict: &CandidateVerdict) {
     }
 }
 
-/// Classify one candidate configuration of one cycle.
-pub fn classify_candidate(
+/// Settle one statically classified candidate: a theorem's verdict
+/// (confirmed by search under
+/// [`ClassifyOptions::verify_theorems_with_search`]), or the search
+/// fallback where the theorems leave it open.
+fn decide(
     net: &Network,
     table: &TableRouting,
-    cycle: &CdgCycle,
-    candidate: DeadlockCandidate,
-    minimal: bool,
+    ca: &CandidateAnalysis,
     opts: &ClassifyOptions,
 ) -> CandidateVerdict {
-    let verdict = classify_candidate_inner(net, table, cycle, candidate, minimal, opts);
-    record_provenance(&verdict);
-    verdict
-}
-
-fn classify_candidate_inner(
-    net: &Network,
-    table: &TableRouting,
-    cycle: &CdgCycle,
-    candidate: DeadlockCandidate,
-    minimal: bool,
-    opts: &ClassifyOptions,
-) -> CandidateVerdict {
-    // Optionally confirm a theorem's "reachable" verdict by search
-    // (see ClassifyOptions::verify_theorems_with_search).
-    let confirm = |candidate: DeadlockCandidate, class: CycleClass| -> CandidateVerdict {
-        if opts.verify_theorems_with_search {
-            if let Some(false) = search_candidate(net, table, &candidate, opts) {
-                wormtrace::counter("classify.theorem_downgraded", 1);
-                return CandidateVerdict {
-                    candidate,
-                    class: CycleClass::DecidedBySearch {
-                        reachable: false,
-                        states: 0,
-                    },
-                    reachable: Some(false),
-                };
-            }
+    let candidate = ca.candidate.clone();
+    let class = match &ca.class {
+        StaticClass::NoOutsideSharing => CycleClass::NoOutsideSharing,
+        StaticClass::TwoSharers => CycleClass::TwoSharers,
+        StaticClass::MinimalAllShare => CycleClass::MinimalAllShare,
+        StaticClass::ThreeSharers(ec) => CycleClass::ThreeSharers(ec.clone()),
+        // Fallback: exhaustive search over the candidate's messages at
+        // their adversarial minimum lengths (just long enough to hold
+        // their segments — Section 3's worst case).
+        StaticClass::OutOfScope if opts.use_search => {
+            wormtrace::counter("classify.search_fallback", 1);
+            let reachable = search_candidate(net, table, &candidate, opts);
+            let class = match reachable {
+                Some(r) => CycleClass::DecidedBySearch {
+                    reachable: r,
+                    states: 0,
+                },
+                None => CycleClass::Unknown,
+            };
+            return CandidateVerdict {
+                candidate,
+                class,
+                reachable,
+            };
         }
-        CandidateVerdict {
-            candidate,
-            class,
-            reachable: Some(true),
+        StaticClass::OutOfScope => {
+            return CandidateVerdict {
+                candidate,
+                class: CycleClass::Unknown,
+                reachable: None,
+            }
         }
     };
-
-    let analysis: SharingAnalysis = sharing::analyze(net, table, cycle, &candidate);
-    let outside: Vec<_> = analysis.outside().cloned().collect();
-
-    // Theorem 2 / Corollaries 1–3: no sharing outside the cycle means
-    // every message can reach its blocking position independently —
-    // the deadlock is reachable.
-    if outside.is_empty() {
-        return confirm(candidate, CycleClass::NoOutsideSharing);
-    }
-
-    if outside.len() == 1 {
-        let shared = &outside[0];
-        let mut users = shared.users.clone();
-        users.sort_unstable();
-        users.dedup();
-
-        // Theorem 4: exactly two sharers → reachable.
-        if users.len() == 2 {
-            return confirm(candidate, CycleClass::TwoSharers);
-        }
-        // Theorem 3: minimal routing and every configuration message
-        // shares the single channel → reachable.
-        if minimal && users.len() == candidate.segments.len() {
-            return confirm(candidate, CycleClass::MinimalAllShare);
-        }
-        // Theorem 5: exactly three sharers → eight conditions.
-        if users.len() == 3 {
-            if let Ok(ec) = eight_conditions(net, table, cycle, &candidate, shared) {
-                let unreachable = ec.unreachable();
-                if unreachable {
-                    return CandidateVerdict {
-                        candidate,
-                        class: CycleClass::ThreeSharers(ec),
-                        reachable: Some(false),
-                    };
-                }
-                return confirm(candidate, CycleClass::ThreeSharers(ec));
-            }
-        }
-    }
-
-    // Fallback: exhaustive search over the candidate's messages at
-    // their adversarial minimum lengths (just long enough to hold
-    // their segments — Section 3's worst case).
-    if opts.use_search {
-        wormtrace::counter("classify.search_fallback", 1);
-        let reachable = search_candidate(net, table, &candidate, opts);
-        let class = match reachable {
-            Some(r) => CycleClass::DecidedBySearch {
-                reachable: r,
-                states: 0,
-            },
-            None => CycleClass::Unknown,
-        };
+    let reachable = ca.class.reachable();
+    if reachable == Some(true)
+        && opts.verify_theorems_with_search
+        && search_candidate(net, table, &candidate, opts) == Some(false)
+    {
+        wormtrace::counter("classify.theorem_downgraded", 1);
         return CandidateVerdict {
             candidate,
-            class,
-            reachable,
+            class: CycleClass::DecidedBySearch {
+                reachable: false,
+                states: 0,
+            },
+            reachable: Some(false),
         };
     }
-
     CandidateVerdict {
         candidate,
-        class: CycleClass::Unknown,
-        reachable: None,
+        class,
+        reachable,
     }
 }
 
@@ -363,7 +340,7 @@ fn search_candidate(
 /// routing messages from an empty network produce **exactly this
 /// configuration** (every segment's channels owned by its message)?
 ///
-/// This is stricter than [`classify_candidate`]'s search fallback,
+/// This is stricter than the classifier's search fallback,
 /// which asks whether *any* deadlock is reachable with the candidate's
 /// message set. A `Some(false)` here certifies the candidate is an
 /// unreachable configuration in the paper's exact sense; `None` means
@@ -409,84 +386,76 @@ pub fn candidate_reachable(
     }
 }
 
-/// Classify one CDG cycle by classifying each of its candidates.
-pub fn classify_cycle(
+/// Classify one analysed cycle: candidates in enumeration order until
+/// the first reachable one, which settles the cycle.
+fn classify_cycle(
     net: &Network,
     table: &TableRouting,
-    cdg: &Cdg,
-    cycle: CdgCycle,
+    cy: &CycleAnalysis,
     opts: &ClassifyOptions,
 ) -> CycleVerdict {
-    let minimal = properties::is_minimal(net, table);
-    classify_cycle_with_minimal(net, table, cdg, cycle, minimal, opts)
-}
-
-/// [`classify_cycle`] with the (table-wide, hence hoistable) minimality
-/// predicate precomputed — classifying many cycles of one algorithm
-/// must not redo the all-pairs shortest-path comparison per cycle.
-fn classify_cycle_with_minimal(
-    net: &Network,
-    table: &TableRouting,
-    cdg: &Cdg,
-    cycle: CdgCycle,
-    minimal: bool,
-    opts: &ClassifyOptions,
-) -> CycleVerdict {
-    let (candidates, enumeration_complete) = enumerate_candidates(cdg, &cycle, opts.max_candidates);
-    let mut verdicts = Vec::with_capacity(candidates.len());
-    for cand in candidates {
-        let v = classify_candidate(net, table, &cycle, cand, minimal, opts);
+    let mut candidates = Vec::new();
+    for ca in &cy.candidates {
+        let v = decide(net, table, ca, opts);
+        record_provenance(&v);
         let reachable = v.reachable == Some(true);
-        verdicts.push(v);
+        candidates.push(v);
         if reachable {
-            // One reachable deadlock settles the cycle.
             break;
         }
     }
     CycleVerdict {
-        cycle,
-        candidates: verdicts,
-        enumeration_complete,
+        cycle: cy.cycle.clone(),
+        candidates,
+        enumeration_complete: cy.enumeration_complete,
     }
 }
 
-/// Classify a whole routing algorithm.
+/// Classify a whole routing algorithm: build its [`Analysis`] under
+/// `opts`' budgets and fold it with [`classify_analysis`].
 pub fn classify_algorithm(
     net: &Network,
     table: &TableRouting,
     opts: &ClassifyOptions,
 ) -> AlgorithmVerdict {
+    classify_analysis(&Analysis::build(net, table, &opts.analysis_options()), opts)
+}
+
+/// Fold an [`Analysis`] into the whole-algorithm verdict, searching
+/// only the candidates Theorems 2–5 leave open (when
+/// [`ClassifyOptions::use_search`] allows).
+///
+/// An acyclic CDG is free by Dally–Seitz with the analysis' numbering
+/// as certificate. Otherwise a reachable deadlock among the analysed
+/// cycle prefix decides "deadlockable", while the free-with-cycles
+/// verdict additionally needs the cycle enumeration to have been
+/// complete.
+///
+/// With [`ClassifyOptions::verify_theorems_with_search`] the analysis
+/// must be [`Scope::Complete`]: a refuted theorem verdict sends the
+/// fold on to the cycle's next candidate.
+pub fn classify_analysis(analysis: &Analysis<'_>, opts: &ClassifyOptions) -> AlgorithmVerdict {
+    assert!(
+        !opts.verify_theorems_with_search || analysis.scope() == Scope::Complete,
+        "search-verified theorem verdicts need a complete analysis"
+    );
     let _span = wormtrace::span("classify.algorithm");
     wormtrace::counter("classify.algorithms", 1);
-    // Stream the table through the selected incremental-SCC engine:
-    // the acyclic fast path is decided online, and the finished CDG is
-    // identical to what `Cdg::build` would have produced (so the
-    // certificate numbering stays byte-identical across engines).
-    let mut builder = CdgBuilder::with_engine(net, opts.scc_engine);
-    builder.add_table(table);
-    let engine_acyclic = builder.is_acyclic();
-    let cdg = builder.finish();
-    if engine_acyclic {
+    if let Some(numbering) = &analysis.numbering {
         wormtrace::counter("classify.acyclic", 1);
-        let numbering = cdg
-            .numbering()
-            .expect("engine-certified acyclic CDG must have a topological numbering");
-        return AlgorithmVerdict::DeadlockFreeAcyclic { numbering };
+        return AlgorithmVerdict::DeadlockFreeAcyclic {
+            numbering: numbering.clone(),
+        };
     }
-    // Stream a bounded prefix of the elementary cycles: a reachable
-    // deadlock among the prefix already decides "deadlockable", while
-    // the free-with-cycles verdict additionally needs the enumeration
-    // to have been complete.
-    let (cycles, enumeration_complete) = cdg.cycles_streamed(opts.max_cycles);
-    let minimal = properties::is_minimal(net, table);
-    let verdicts: Vec<CycleVerdict> = cycles
-        .into_iter()
-        .map(|cycle| classify_cycle_with_minimal(net, table, &cdg, cycle, minimal, opts))
+    let verdicts: Vec<CycleVerdict> = analysis
+        .cycles
+        .iter()
+        .map(|cy| classify_cycle(analysis.net, analysis.table, cy, opts))
         .collect();
 
     if verdicts.iter().any(|v| v.reachable() == Some(true)) {
         AlgorithmVerdict::Deadlockable { cycles: verdicts }
-    } else if enumeration_complete && verdicts.iter().all(|v| v.reachable() == Some(false)) {
+    } else if analysis.cycles_complete && verdicts.iter().all(|v| v.reachable() == Some(false)) {
         AlgorithmVerdict::DeadlockFreeWithCycles { cycles: verdicts }
     } else {
         AlgorithmVerdict::Unknown { cycles: verdicts }
@@ -711,5 +680,48 @@ mod tests {
         let verdict = classify_algorithm(&c.net, &c.table, &opts);
         assert!(matches!(verdict, AlgorithmVerdict::Unknown { .. }));
         assert_eq!(verdict.is_deadlock_free(), None);
+    }
+
+    /// The classifier's own analysis stops each cycle at its first
+    /// theorem-certified reachable candidate; the fold over it must
+    /// equal the fold over a complete analysis, provenance included.
+    #[test]
+    fn verdict_scope_folds_like_a_complete_analysis() {
+        let (ring, nodes) = ring_unidirectional(4);
+        let ring_table = clockwise_ring(&ring, &nodes).unwrap();
+        let mut cases = vec![(ring, ring_table)];
+        for c in [
+            crate::paper::fig1::cyclic_dependency(),
+            crate::paper::fig2::two_message_deadlock(),
+        ] {
+            cases.push((c.net, c.table));
+        }
+        for s in crate::paper::fig3::all_scenarios() {
+            let c = s.spec.build();
+            cases.push((c.net, c.table));
+        }
+        for use_search in [true, false] {
+            let opts = ClassifyOptions {
+                use_search,
+                ..ClassifyOptions::default()
+            };
+            assert_eq!(opts.analysis_options().scope, Scope::Verdict);
+            let complete = AnalysisOptions {
+                scope: Scope::Complete,
+                ..opts.analysis_options()
+            };
+            for (net, table) in &cases {
+                let lean = Analysis::build(net, table, &opts.analysis_options());
+                let full = Analysis::build(net, table, &complete);
+                assert_eq!(
+                    format!("{:?}", classify_analysis(&lean, &opts)),
+                    format!("{:?}", classify_analysis(&full, &opts))
+                );
+            }
+        }
+        assert_eq!(
+            ClassifyOptions::model_exact().analysis_options().scope,
+            Scope::Complete
+        );
     }
 }

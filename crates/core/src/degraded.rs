@@ -18,7 +18,8 @@
 //!   cycle the moment any ring channel dies (the deadlock needs the
 //!   full ring).
 //!
-//! [`classify_degraded`] runs the complete pipeline — CDG rebuild,
+//! [`classify_degraded`] (or [`degrade`], given the healthy CDG
+//! already built) runs the complete pipeline — CDG rebuild,
 //! Theorems 2–5, search fallback — on the degraded routing relation
 //! and reports the verdict next to enough provenance (unroutable
 //! pairs, edge deltas against [`wormcdg::Cdg::masked`]) to see *why*
@@ -31,7 +32,8 @@ use wormexist::{ExistOptions, ExistenceReport};
 use wormnet::{ChannelId, Network};
 use wormroute::TableRouting;
 
-use crate::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
+use crate::analysis::Analysis;
+use crate::classify::{classify_analysis, AlgorithmVerdict, ClassifyOptions};
 
 /// The outcome of re-running the classification pipeline on a
 /// degraded topology.
@@ -77,23 +79,35 @@ impl DegradedClassification {
 /// Pairs routed through a down channel are dropped (oblivious routing
 /// offers no alternative path), the CDG is rebuilt from the surviving
 /// pairs, and the full Theorems 2–5 + search pipeline re-runs on it.
-/// An empty `down` reproduces [`classify_algorithm`] on the healthy
-/// table exactly.
+/// An empty `down` reproduces [`crate::classify_algorithm`] on the
+/// healthy table exactly.
 pub fn classify_degraded(
     net: &Network,
     table: &TableRouting,
     down: &[ChannelId],
     opts: &ClassifyOptions,
 ) -> DegradedClassification {
+    let healthy = Cdg::build(net, table);
+    degrade(net, table, &healthy, down, opts, &ExistOptions::default())
+}
+
+/// [`classify_degraded`] against an already built healthy CDG, with
+/// the degraded fabric's existence decided under `exist`.
+pub fn degrade(
+    net: &Network,
+    table: &TableRouting,
+    healthy: &Cdg,
+    down: &[ChannelId],
+    opts: &ClassifyOptions,
+    exist: &ExistOptions,
+) -> DegradedClassification {
     let _span = wormtrace::span("classify.degraded");
     let mut down: Vec<ChannelId> = down.to_vec();
     down.sort_unstable();
     down.dedup();
 
-    let baseline = Cdg::build(net, table);
-    let masked = baseline.masked(&down);
+    let masked_edges = healthy.masked(&down).edge_count();
     let degraded_table = table.without_channels(&down);
-    let degraded = Cdg::build(net, &degraded_table);
     let unroutable_pairs = table.len() - degraded_table.len();
     wormtrace::counter("classify.degraded.runs", 1);
     wormtrace::counter(
@@ -101,15 +115,18 @@ pub fn classify_degraded(
         unroutable_pairs as u64,
     );
 
-    let verdict = classify_algorithm(net, &degraded_table, opts);
-    let existence = wormexist::analyze_masked(net, &down, &ExistOptions::default());
+    let analysis = Analysis::build(net, &degraded_table, &opts.analysis_options());
+    let verdict = classify_analysis(&analysis, opts);
+    let degraded_edges = analysis.cdg.edge_count();
+    drop(analysis);
+    let existence = wormexist::analyze_masked(net, &down, exist);
     DegradedClassification {
         down,
         table: degraded_table,
         unroutable_pairs,
-        baseline_edges: baseline.edge_count(),
-        masked_edges: masked.edge_count(),
-        degraded_edges: degraded.edge_count(),
+        baseline_edges: healthy.edge_count(),
+        masked_edges,
+        degraded_edges,
         verdict,
         existence,
     }

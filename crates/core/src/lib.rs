@@ -19,10 +19,15 @@
 //! * [`conditions`] — Theorem 5's eight conditions deciding whether a
 //!   cycle whose shared channel is used by exactly three messages is
 //!   an unreachable configuration.
-//! * [`classify`] — the overall pipeline: CDG → cycles → static
-//!   deadlock candidates → shared-channel analysis → Theorems 2–5 →
-//!   exhaustive-search fallback; producing a per-cycle and whole-
-//!   algorithm deadlock verdict with provenance.
+//! * [`analysis`] — one [`Analysis`] per (network, table, budgets):
+//!   route properties, the CDG and its numbering, cycles, static
+//!   deadlock candidates with their shared-channel analysis and
+//!   Theorems 2–5 class, and the fabric's existence verdict. Lint, the
+//!   classifier and fault re-verification all read it.
+//! * [`classify`] — the overall pipeline as a fold over the analysis:
+//!   theorem-decided candidates plus the exhaustive-search fallback,
+//!   producing a per-cycle and whole-algorithm deadlock verdict with
+//!   provenance.
 //! * [`degraded`] — the same pipeline re-run on a degraded topology
 //!   (failed channels drop the pairs routed through them), reporting
 //!   whether the healthy verdict survives the fault.
@@ -42,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+pub mod analysis;
 pub mod classify;
 pub mod conditions;
 pub mod degraded;
@@ -51,10 +57,11 @@ pub mod spec;
 pub mod symmetry;
 pub mod validate;
 
+pub use analysis::{Analysis, AnalysisOptions, Scope, StaticClass};
 pub use classify::{
-    candidate_reachable, classify_algorithm, classify_cycle, AlgorithmVerdict, CycleClass,
+    candidate_reachable, classify_algorithm, classify_analysis, AlgorithmVerdict, CycleClass,
     CycleVerdict,
 };
-pub use degraded::{classify_degraded, DegradedClassification};
+pub use degraded::{classify_degraded, degrade, DegradedClassification};
 pub use family::{CycleConstruction, CycleMessageSpec, SharedCycleSpec};
 pub use symmetry::{family_canonicalizer, invariant_rotations, rotation_permutations};

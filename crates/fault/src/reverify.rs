@@ -6,8 +6,10 @@
 //! *deadlock argument* still valid". [`reverify`] answers it by
 //! classifying the healthy algorithm, extracting the plan's permanent
 //! channel losses, and re-running the complete Theorems 2–5 + search
-//! pipeline on the degraded routing relation
-//! ([`worm_core::classify_degraded`]). Transient outages contribute
+//! pipeline on the degraded routing relation ([`worm_core::degrade`]).
+//! [`reverify_from`] takes the healthy CDG and verdict a caller
+//! already has (a `wormserve` job's classifier block) instead of
+//! recomputing them. Transient outages contribute
 //! nothing here — a channel that comes back up leaves the static
 //! dependency structure untouched — so a purely transient plan always
 //! reports the baseline verdict verbatim.
@@ -19,9 +21,11 @@
 //! can *no* deadlock-free routing exist on what remains ("replace the
 //! hardware")? [`FaultRoutability`] names the cases.
 
-use worm_core::classify::{classify_algorithm, AlgorithmVerdict, ClassifyOptions};
-use worm_core::degraded::{classify_degraded, DegradedClassification};
-use wormexist::ExistenceVerdict;
+use worm_core::classify::{classify_analysis, AlgorithmVerdict, ClassifyOptions};
+use worm_core::degraded::{degrade, DegradedClassification};
+use worm_core::Analysis;
+use wormcdg::Cdg;
+use wormexist::{ExistOptions, ExistenceVerdict};
 use wormnet::Network;
 use wormroute::TableRouting;
 
@@ -87,10 +91,35 @@ pub fn reverify(
     plan: &FaultPlan,
     opts: &ClassifyOptions,
 ) -> ReverifyReport {
+    let healthy = Analysis::build(net, table, &opts.analysis_options());
+    let baseline = classify_analysis(&healthy, opts);
+    let healthy = healthy.into_cdg();
+    reverify_from(
+        net,
+        table,
+        &healthy,
+        baseline,
+        plan,
+        opts,
+        &ExistOptions::default(),
+    )
+}
+
+/// [`reverify`] from the healthy table's CDG and verdict: only the
+/// degraded half runs, with the degraded fabric's existence decided
+/// under `exist`.
+pub fn reverify_from(
+    net: &Network,
+    table: &TableRouting,
+    healthy: &Cdg,
+    baseline: AlgorithmVerdict,
+    plan: &FaultPlan,
+    opts: &ClassifyOptions,
+    exist: &ExistOptions,
+) -> ReverifyReport {
     let _span = wormtrace::span("fault.reverify");
     wormtrace::counter("fault.reverify_runs", 1);
-    let baseline = classify_algorithm(net, table, opts);
-    let degraded = classify_degraded(net, table, &plan.permanent_down(), opts);
+    let degraded = degrade(net, table, healthy, &plan.permanent_down(), opts, exist);
     let verdict_survives = baseline.is_deadlock_free() == degraded.is_deadlock_free();
     let routability = if degraded.is_deadlock_free() == Some(true) {
         FaultRoutability::RoutingSurvives

@@ -28,8 +28,12 @@
 //!   reachable-deadlock certificates, Theorem 5 scorecards,
 //!   out-of-scope cycles).
 //!
-//! The analysis is purely static — no simulation or search runs — and
-//! deterministic: the same spec always produces byte-identical output.
+//! Lints are readers of a shared [`worm_core::Analysis`]: the property
+//! walk, CDG, cycle candidates with their Theorems 2–5 classes, and
+//! existence verdict are computed once per job and only formatted
+//! here. The analysis is purely static — no simulation or search runs
+//! — and deterministic: the same spec always produces byte-identical
+//! output.
 //! The differential test suite (`tests/props_lint.rs`) cross-checks
 //! every verdict against the classifier and the exhaustive
 //! reachability search.
@@ -49,7 +53,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod context;
 pub mod diagnostic;
 pub mod json;
 pub mod lint;
@@ -57,8 +60,8 @@ pub mod lints;
 pub mod registry;
 pub mod spec;
 
-pub use context::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
 pub use diagnostic::{Diagnostic, Severity};
 pub use json::{reports_to_json, SCHEMA};
 pub use lint::Lint;
-pub use registry::{LintConfig, LintReport, Registry, StaticVerdict};
+pub use registry::{LintConfig, LintReport, LintSummary, Registry, StaticVerdict};
+pub use worm_core::analysis::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};

@@ -1,11 +1,11 @@
 //! The [`Lint`] trait.
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
+use crate::Analysis;
 
 /// One named check over a routing specification.
 ///
-/// A lint reads the shared [`LintContext`] and emits zero or more
+/// A lint reads the shared [`Analysis`] and emits zero or more
 /// [`Diagnostic`]s. Implementations must be deterministic (same spec,
 /// same diagnostics in the same order) and must stamp every diagnostic
 /// with their own [`code`](Lint::code) and [`name`](Lint::name) — the
@@ -32,5 +32,5 @@ pub trait Lint {
 
     /// Run the check. `severity` is the already-resolved effective
     /// severity for this run; every emitted diagnostic must carry it.
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic>;
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic>;
 }

@@ -21,9 +21,9 @@
 //! multi-hop path exists (a table of single hops has no dependencies
 //! and needs no certificate).
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
+use crate::Analysis;
 
 /// `W208`: strictly increasing virtual-channel lanes along every path.
 pub struct VcMonotoneCertificate;
@@ -44,7 +44,7 @@ impl Lint for VcMonotoneCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         // Acyclicity as certified online by the selected SCC engine
         // (HKMST or Pearce–Kelly — identical by differential test).
         if !ctx.scc_acyclic {
@@ -103,7 +103,7 @@ impl Lint for DownUpCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         if !ctx.scc_acyclic {
             return Vec::new();
         }

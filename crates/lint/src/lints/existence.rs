@@ -11,9 +11,9 @@
 
 use wormexist::{ExistenceVerdict, ObstructionKind};
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
+use crate::Analysis;
 
 /// Most obstruction channels listed as entities before truncating.
 const MAX_WITNESS_CHANNELS: usize = 8;
@@ -37,8 +37,8 @@ impl Lint for ExistenceWitness {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let report = &ctx.existence;
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let report = ctx.existence();
         if report.verdict != ExistenceVerdict::Exists {
             return Vec::new();
         }
@@ -82,8 +82,8 @@ impl Lint for ExistenceObstruction {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let report = &ctx.existence;
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let report = ctx.existence();
         let Some(obs) = &report.obstruction else {
             return Vec::new();
         };
@@ -144,8 +144,8 @@ impl Lint for DeadlockableButRoutable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if ctx.existence.verdict != ExistenceVerdict::Exists || !ctx.statically_deadlockable() {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        if ctx.existence().verdict != ExistenceVerdict::Exists || !ctx.statically_deadlockable() {
             return Vec::new();
         }
         vec![Diagnostic::new(
@@ -154,12 +154,12 @@ impl Lint for DeadlockableButRoutable {
             severity,
             format!(
                 "the table is at fault, not the fabric: this routing is statically deadlockable, but a {}-certificate schedule routes all {} reachable pair(s) deadlock-free",
-                ctx.existence.kind_name(),
-                ctx.existence.demands,
+                ctx.existence().kind_name(),
+                ctx.existence().demands,
             ),
         )
-        .fact("demands", ctx.existence.demands)
-        .fact("kind", ctx.existence.kind_name())]
+        .fact("demands", ctx.existence().demands)
+        .fact("kind", ctx.existence().kind_name())]
     }
 }
 
@@ -182,8 +182,8 @@ impl Lint for ExistenceUndecided {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let report = &ctx.existence;
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let report = ctx.existence();
         if report.verdict != ExistenceVerdict::Unknown {
             return Vec::new();
         }

@@ -17,7 +17,7 @@ pub mod structure;
 pub mod theorems;
 
 use crate::lint::Lint;
-use wormnet::Network;
+use wormnet::{ChannelId, Network};
 use wormroute::Path;
 
 /// Every built-in lint, in code order.
@@ -56,9 +56,15 @@ pub(crate) fn pair_ref(net: &Network, (s, d): (wormnet::NodeId, wormnet::NodeId)
 
 /// A path's node walk in node names (`a->b->c`).
 pub(crate) fn walk(net: &Network, path: &Path) -> String {
-    path.nodes(net)
-        .iter()
-        .map(|&n| net.node_name(n).to_string())
+    walk_channels(net, path.channels())
+}
+
+/// The node walk of a non-empty channel sequence in node names.
+pub(crate) fn walk_channels(net: &Network, channels: &[ChannelId]) -> String {
+    let first = net.channel(channels[0]).src();
+    std::iter::once(first)
+        .chain(channels.iter().map(|&c| net.channel(c).dst()))
+        .map(|n| net.node_name(n))
         .collect::<Vec<_>>()
         .join("->")
 }

@@ -1,14 +1,16 @@
 //! `W1xx`: routing-function properties (Definitions 7–9, minimality,
 //! Corollary 1's `R : N × N → C` form).
 //!
-//! The boolean predicates live in `wormroute::properties`; the lints
-//! here re-walk the table to extract *witnesses* — the first concrete
-//! violation in deterministic table order — alongside the totals.
+//! The predicates, violation counts and witnesses come from the one
+//! fused table walk in `wormroute::properties` (read through the shared
+//! analysis); the lints here only format them.
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
-use crate::lints::{pair_ref, walk};
+use crate::lints::{pair_ref, walk, walk_channels};
+use crate::Analysis;
+use wormroute::properties::ClosureBreak;
+use wormroute::Path;
 
 /// `W101`: paths longer than the shortest path for their pair.
 pub struct NonMinimalRoute;
@@ -29,47 +31,64 @@ impl Lint for NonMinimalRoute {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut worst: Option<((wormnet::NodeId, wormnet::NodeId), usize, usize)> = None;
-        // The table iterates grouped by source, so one BFS per source
-        // serves every pair it originates (vs. one BFS per pair).
-        let mut cached: Option<(wormnet::NodeId, Vec<Option<usize>>)> = None;
-        for (&pair, path) in ctx.table.iter() {
-            if cached.as_ref().map(|(s, _)| *s) != Some(pair.0) {
-                cached = Some((pair.0, ctx.net.distances_from(pair.0)));
-            }
-            let (_, from_src) = cached.as_ref().expect("cache was just refreshed");
-            let Some(dist) = from_src[pair.1.index()] else {
-                continue; // W003 reports disconnection
-            };
-            if path.len() > dist {
-                count += 1;
-                if worst.is_none_or(|(_, len, d)| path.len() - dist > len - d) {
-                    worst = Some((pair, path.len(), dist));
-                }
-            }
-        }
-        let Some((pair, len, dist)) = worst else {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let detours = &ctx.properties().detours;
+        let Some(worst) = detours.witness else {
             return Vec::new();
         };
+        let (pair, len, dist) = (worst.pair, worst.len, worst.distance);
         vec![Diagnostic::new(
             self.code(),
             self.name(),
             severity,
             format!(
-                "{count} of {} routed pair(s) take non-minimal paths (worst: {} uses {len} channels, distance {dist})",
+                "{} of {} routed pair(s) take non-minimal paths (worst: {} uses {len} channels, distance {dist})",
+                detours.count,
                 ctx.table.len(),
                 pair_ref(ctx.net, pair),
             ),
         )
         .entity("pair", pair_ref(ctx.net, pair))
-        .fact("nonminimal_pairs", count)
+        .fact("nonminimal_pairs", detours.count)
         .fact("worst_pair", pair_ref(ctx.net, pair))
-        .fact("worst_path", walk(ctx.net, ctx.table.path(pair.0, pair.1).expect("routed")))
+        .fact("worst_path", walk(ctx.net, routed(ctx, pair)))
         .fact("worst_path_len", len)
         .fact("worst_distance", dist)]
     }
+}
+
+/// The registered path of a witness pair.
+fn routed<'t>(ctx: &Analysis<'t>, (s, d): wormroute::properties::Pair) -> &'t Path {
+    ctx.table.path(s, d).expect("witness pairs are routed")
+}
+
+/// The shared body of a `W102`/`W103` closure diagnostic: the checked
+/// pair, the intermediate node `via`, the path, the expected prefix or
+/// suffix, and the registered path for `registered` (or `unrouted`).
+fn closure_diag(
+    lint: &dyn Lint,
+    ctx: &Analysis<'_>,
+    severity: Severity,
+    brk: ClosureBreak,
+    expected: (&str, &[wormnet::ChannelId]),
+    registered: (wormnet::NodeId, wormnet::NodeId),
+) -> Diagnostic {
+    let path = routed(ctx, brk.pair);
+    let via = ctx.net.channel(path.channels()[brk.pos]).src();
+    Diagnostic::new(lint.code(), lint.name(), severity, String::new())
+        .entity("pair", pair_ref(ctx.net, brk.pair))
+        .entity("node", ctx.net.node_name(via))
+        .fact("pair", pair_ref(ctx.net, brk.pair))
+        .fact("via", ctx.net.node_name(via))
+        .fact("path", walk(ctx.net, path))
+        .fact(expected.0, walk_channels(ctx.net, expected.1))
+        .fact(
+            "registered",
+            ctx.table
+                .path(registered.0, registered.1)
+                .map(|p| walk(ctx.net, p))
+                .unwrap_or_else(|| "unrouted".to_string()),
+        )
 }
 
 /// `W102`: Definition 8 violations — a path's suffix from an
@@ -93,50 +112,20 @@ impl Lint for SuffixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&(src, dst), path) in ctx.table.iter() {
-            let nodes = path.nodes(ctx.net);
-            let interior = nodes.iter().enumerate().take(nodes.len() - 1).skip(1);
-            for (pos, &v) in interior {
-                if v == dst {
-                    continue; // the suffix from dst is empty
-                }
-                let suffix = path.suffix_from_pos(pos).expect("interior position");
-                let registered = ctx.table.path(v, dst);
-                if registered == Some(&suffix) {
-                    continue;
-                }
-                count += 1;
-                if first.is_none() {
-                    first = Some(
-                        Diagnostic::new(self.code(), self.name(), severity, String::new())
-                            .entity("pair", pair_ref(ctx.net, (src, dst)))
-                            .entity("node", ctx.net.node_name(v))
-                            .fact("pair", pair_ref(ctx.net, (src, dst)))
-                            .fact("via", ctx.net.node_name(v))
-                            .fact("path", walk(ctx.net, path))
-                            .fact("expected_suffix", walk(ctx.net, &suffix))
-                            .fact(
-                                "registered",
-                                registered
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "unrouted".to_string()),
-                            ),
-                    );
-                }
-            }
-        }
-        let Some(mut d) = first else {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let breaks = &ctx.properties().suffix_breaks;
+        let Some(brk) = breaks.witness else {
             return Vec::new();
         };
+        let chans = routed(ctx, brk.pair).channels();
+        let via = ctx.net.channel(chans[brk.pos]).src();
+        let expected = ("expected_suffix", &chans[brk.pos..]);
+        let mut d = closure_diag(self, ctx, severity, brk, expected, (via, brk.pair.1));
         d.message = format!(
-            "routing is not suffix-closed: {count} violation(s); e.g. the path for {} passes {} but {} is routed differently",
-            d.witness["pair"], d.witness["via"], d.witness["via"],
+            "routing is not suffix-closed: {} violation(s); e.g. the path for {} passes {} but {} is routed differently",
+            breaks.count, d.witness["pair"], d.witness["via"], d.witness["via"],
         );
-        d = d.fact("violations", count);
-        vec![d]
+        vec![d.fact("violations", breaks.count)]
     }
 }
 
@@ -161,61 +150,20 @@ impl Lint for PrefixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&(src, dst), path) in ctx.table.iter() {
-            let nodes = path.nodes(ctx.net);
-            for (i, &v) in nodes[1..nodes.len() - 1].iter().enumerate() {
-                if v == src {
-                    continue; // prefix to the source is empty
-                }
-                // Only the first occurrence of v is constrained.
-                if nodes.iter().position(|&n| n == v) != Some(i + 1) {
-                    continue;
-                }
-                let prefix = path.prefix_to(ctx.net, v);
-                let registered = ctx.table.path(src, v);
-                if let (Some(prefix), Some(registered)) = (&prefix, registered) {
-                    if registered == prefix {
-                        continue;
-                    }
-                }
-                count += 1;
-                if first.is_none() {
-                    first = Some(
-                        Diagnostic::new(self.code(), self.name(), severity, String::new())
-                            .entity("pair", pair_ref(ctx.net, (src, dst)))
-                            .entity("node", ctx.net.node_name(v))
-                            .fact("pair", pair_ref(ctx.net, (src, dst)))
-                            .fact("via", ctx.net.node_name(v))
-                            .fact("path", walk(ctx.net, path))
-                            .fact(
-                                "expected_prefix",
-                                prefix
-                                    .as_ref()
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "?".to_string()),
-                            )
-                            .fact(
-                                "registered",
-                                registered
-                                    .map(|p| walk(ctx.net, p))
-                                    .unwrap_or_else(|| "unrouted".to_string()),
-                            ),
-                    );
-                }
-            }
-        }
-        let Some(mut d) = first else {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let breaks = &ctx.properties().prefix_breaks;
+        let Some(brk) = breaks.witness else {
             return Vec::new();
         };
+        let chans = routed(ctx, brk.pair).channels();
+        let via = ctx.net.channel(chans[brk.pos]).src();
+        let expected = ("expected_prefix", &chans[..brk.pos]);
+        let mut d = closure_diag(self, ctx, severity, brk, expected, (brk.pair.0, via));
         d.message = format!(
-            "routing is not prefix-closed: {count} violation(s); e.g. the path for {} reaches {} off the registered route",
-            d.witness["pair"], d.witness["via"],
+            "routing is not prefix-closed: {} violation(s); e.g. the path for {} reaches {} off the registered route",
+            breaks.count, d.witness["pair"], d.witness["via"],
         );
-        d = d.fact("violations", count);
-        vec![d]
+        vec![d.fact("violations", breaks.count)]
     }
 }
 
@@ -238,41 +186,28 @@ impl Lint for NodeRevisit {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut count = 0usize;
-        let mut first: Option<Diagnostic> = None;
-        for (&pair, path) in ctx.table.iter() {
-            if path.is_node_simple(ctx.net) {
-                continue;
-            }
-            count += 1;
-            if first.is_none() {
-                let nodes = path.nodes(ctx.net);
-                let revisited = nodes
-                    .iter()
-                    .enumerate()
-                    .find(|(i, n)| nodes[..*i].contains(n))
-                    .map(|(_, &n)| n)
-                    .expect("non-simple walk has a repeat");
-                first = Some(
-                    Diagnostic::new(self.code(), self.name(), severity, String::new())
-                        .entity("pair", pair_ref(ctx.net, pair))
-                        .entity("node", ctx.net.node_name(revisited))
-                        .fact("pair", pair_ref(ctx.net, pair))
-                        .fact("path", walk(ctx.net, path))
-                        .fact("revisited_node", ctx.net.node_name(revisited)),
-                );
-            }
-        }
-        let Some(mut d) = first else {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        let revisits = &ctx.properties().revisits;
+        let Some(first) = revisits.witness else {
             return Vec::new();
         };
-        d.message = format!(
-            "{count} routed path(s) revisit a node; e.g. {} passes {} twice",
-            d.witness["pair"], d.witness["revisited_node"],
-        );
-        d = d.fact("revisiting_paths", count);
-        vec![d]
+        let pair = pair_ref(ctx.net, first.pair);
+        let node = ctx.net.node_name(first.node);
+        vec![Diagnostic::new(
+            self.code(),
+            self.name(),
+            severity,
+            format!(
+                "{} routed path(s) revisit a node; e.g. {pair} passes {node} twice",
+                revisits.count,
+            ),
+        )
+        .entity("pair", pair.clone())
+        .entity("node", node)
+        .fact("pair", pair)
+        .fact("path", walk(ctx.net, routed(ctx, first.pair)))
+        .fact("revisited_node", node)
+        .fact("revisiting_paths", revisits.count)]
     }
 }
 
@@ -295,8 +230,8 @@ impl Lint for NodeFunctionForm {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if !ctx.properties.node_function {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+        if !ctx.properties().node_function {
             return Vec::new();
         }
         let cyclic = !ctx.cdg.is_acyclic();
@@ -311,7 +246,7 @@ impl Lint for NodeFunctionForm {
             },
         )
         .fact("cdg_cyclic", cyclic)
-        .fact("suffix_closed", ctx.properties.suffix_closed)]
+        .fact("suffix_closed", ctx.properties().suffix_closed)]
     }
 }
 

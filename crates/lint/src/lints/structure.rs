@@ -2,10 +2,10 @@
 
 use std::collections::BTreeSet;
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
 use crate::lints::{pair_ref, walk};
+use crate::Analysis;
 
 /// `W001`: a channel whose endpoints coincide.
 pub struct SelfLoopChannel;
@@ -26,7 +26,7 @@ impl Lint for SelfLoopChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         ctx.net
             .channels()
             .filter(|c| c.src() == c.dst())
@@ -63,7 +63,7 @@ impl Lint for DuplicateChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         let mut seen = BTreeSet::new();
         ctx.net
             .channels()
@@ -101,7 +101,7 @@ impl Lint for UnroutablePairs {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let nodes: Vec<_> = ctx.net.nodes().collect();
         if !ctx.net.is_strongly_connected() {
@@ -167,7 +167,7 @@ impl Lint for DeadChannel {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         // Past this many dead channels, collapse into one summary
         // diagnostic: a deliberately partial table (e.g. switch-only
         // fat-tree routing) would otherwise drown the report.
@@ -235,7 +235,7 @@ impl Lint for DeadPathTail {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         for (&(src, dst), path) in ctx.table.iter() {
             let nodes = path.nodes(ctx.net);

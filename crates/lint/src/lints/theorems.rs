@@ -1,16 +1,16 @@
 //! `W2xx`: CDG cycles and the Section 5 theorems.
 //!
-//! These lints project the [`crate::context::StaticClass`]
+//! These lints project the [`crate::StaticClass`]
 //! classification (computed once in the context) into diagnostics:
 //! reachable-deadlock *certificates* for Theorems 2–4 and Theorem 5's
 //! failing scorecards, false-resource-cycle scorecards when all eight
 //! conditions hold, and honest `out-of-scope` findings where the
 //! theorems say nothing and only exhaustive search can decide.
 
-use crate::context::{CandidateAnalysis, CycleAnalysis, LintContext, StaticClass};
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
 use crate::lints::pair_ref;
+use crate::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};
 use wormcdg::sharing::{self, SharedChannel};
 use wormcdg::CdgCycle;
 
@@ -35,7 +35,7 @@ fn single_outside(ca: &CandidateAnalysis) -> Option<&SharedChannel> {
 /// Attach the shared-channel facts (`d_i` distances per sharer) to a
 /// certificate diagnostic.
 fn sharer_facts(
-    ctx: &LintContext<'_>,
+    ctx: &Analysis<'_>,
     cycle: &CdgCycle,
     shared: &SharedChannel,
     mut d: Diagnostic,
@@ -66,7 +66,7 @@ fn sharer_facts(
 /// Shared base for per-candidate certificate diagnostics.
 fn candidate_diag(
     lint: &dyn Lint,
-    ctx: &LintContext<'_>,
+    ctx: &Analysis<'_>,
     cy: &CycleAnalysis,
     ca: &CandidateAnalysis,
     severity: Severity,
@@ -97,7 +97,7 @@ impl Lint for CdgCycleCensus {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         ctx.cycles
             .iter()
             .map(|cy| {
@@ -158,7 +158,7 @@ impl Lint for Theorem2NoOutsideSharing {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         ctx.candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::NoOutsideSharing))
             .map(|(cy, ca)| {
@@ -210,7 +210,7 @@ impl Lint for Theorem4TwoSharers {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         ctx.candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::TwoSharers))
             .map(|(cy, ca)| {
@@ -252,7 +252,7 @@ impl Lint for Theorem5Unreachable {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         scorecards(self, ctx, severity, true)
     }
 }
@@ -277,7 +277,7 @@ impl Lint for Theorem5Reachable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         scorecards(self, ctx, severity, false)
     }
 }
@@ -286,7 +286,7 @@ impl Lint for Theorem5Reachable {
 /// `unreachable()` verdict matches `want_unreachable`.
 fn scorecards(
     lint: &dyn Lint,
-    ctx: &LintContext<'_>,
+    ctx: &Analysis<'_>,
     severity: Severity,
     want_unreachable: bool,
 ) -> Vec<Diagnostic> {
@@ -344,7 +344,7 @@ impl Lint for Theorem3MinimalAllShare {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         ctx.candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::MinimalAllShare))
             .map(|(cy, ca)| {
@@ -386,7 +386,7 @@ impl Lint for OutOfScopeCycle {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &LintContext<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         if !ctx.cycles_complete {
             out.push(

@@ -2,10 +2,11 @@
 
 use std::collections::BTreeMap;
 
-use crate::context::LintContext;
 use crate::diagnostic::{Diagnostic, Severity};
 use crate::lint::Lint;
 use crate::lints::default_lints;
+use worm_core::{Analysis, AnalysisOptions, Scope};
+use wormexist::ExistOptions;
 use wormnet::Network;
 use wormroute::TableRouting;
 
@@ -43,6 +44,18 @@ impl Default for LintConfig {
 }
 
 impl LintConfig {
+    /// The analysis a standalone [`Registry::run`] reads: this config's
+    /// budgets and SCC engine, default existence budgets.
+    pub fn analysis_options(&self) -> AnalysisOptions {
+        AnalysisOptions {
+            max_cycles: self.max_cycles,
+            max_candidates: self.max_candidates,
+            scc_engine: self.scc_engine,
+            exist: ExistOptions::default(),
+            scope: Scope::Complete,
+        }
+    }
+
     /// The effective severity for a lint under this config.
     pub fn severity_for(&self, lint: &dyn Lint) -> Severity {
         let base = self
@@ -192,24 +205,80 @@ impl Registry {
         &self.lints
     }
 
-    /// Run every registered lint over a spec.
+    /// Run every registered lint over a spec: build its [`Analysis`]
+    /// under `config`'s budgets and [`check`](Registry::check) it.
+    pub fn run(&self, net: &Network, table: &TableRouting, config: &LintConfig) -> LintReport {
+        self.check(
+            &Analysis::build(net, table, &config.analysis_options()),
+            config,
+        )
+    }
+
+    /// Run every registered lint over an analysis already built (a
+    /// [`Scope::Complete`] one: lints report on every candidate).
+    /// Severities come from `config`; the budgets are the analysis'
+    /// own.
     ///
     /// Diagnostics are re-sorted by `(code, entities, message)` so the
     /// report is deterministic regardless of lint registration order.
-    pub fn run(&self, net: &Network, table: &TableRouting, config: &LintConfig) -> LintReport {
+    pub fn check(&self, ctx: &Analysis<'_>, config: &LintConfig) -> LintReport {
+        let mut diagnostics = Vec::new();
+        let verdict = self.visit(ctx, config, |found| diagnostics.extend(found));
+        diagnostics.sort_by(|a, b| {
+            (a.code, &a.entities, &a.message).cmp(&(b.code, &b.entities, &b.message))
+        });
+        LintReport {
+            diagnostics,
+            verdict,
+        }
+    }
+
+    /// [`check`](Registry::check) reduced to its counts — what a
+    /// `wormserve/1` lint block reports. Each lint's diagnostics are
+    /// counted and dropped, so at most one lint's findings are held at
+    /// a time (tens of thousands of candidate certificates on the
+    /// cyclic fabrics).
+    pub fn summarize(&self, ctx: &Analysis<'_>, config: &LintConfig) -> LintSummary {
+        let mut counts = BTreeMap::new();
+        let (mut allow, mut warn, mut deny) = (0, 0, 0);
+        let verdict = self.visit(ctx, config, |found| {
+            for d in &found {
+                *counts.entry(d.code).or_insert(0) += 1;
+                *match d.severity {
+                    Severity::Allow => &mut allow,
+                    Severity::Warn => &mut warn,
+                    Severity::Deny => &mut deny,
+                } += 1;
+            }
+        });
+        LintSummary {
+            counts,
+            allow,
+            warn,
+            deny,
+            verdict,
+        }
+    }
+
+    /// Run every lint over `ctx`, handing each one's diagnostics to
+    /// `sink`, and fold the static verdict.
+    fn visit(
+        &self,
+        ctx: &Analysis<'_>,
+        config: &LintConfig,
+        mut sink: impl FnMut(Vec<Diagnostic>),
+    ) -> StaticVerdict {
+        assert_eq!(
+            ctx.scope(),
+            Scope::Complete,
+            "lints read a complete analysis"
+        );
         let _span = wormtrace::span("lint.run");
         wormtrace::counter("lint.runs", 1);
-        let ctx = LintContext::build_with_engine(
-            net,
-            table,
-            config.max_cycles,
-            config.max_candidates,
-            config.scc_engine,
-        );
-        let mut diagnostics = Vec::new();
+        let mut total = 0;
         for lint in &self.lints {
             let severity = config.severity_for(lint.as_ref());
-            let found = lint.check(&ctx, severity);
+            let found = lint.check(ctx, severity);
             debug_assert!(
                 found.iter().all(|d| d.code == lint.code()
                     && d.lint == lint.name()
@@ -217,28 +286,35 @@ impl Registry {
                 "lint {} emitted a mislabelled diagnostic",
                 lint.code()
             );
-            diagnostics.extend(found);
-        }
-        diagnostics.sort_by(|a, b| {
-            (a.code, &a.entities, &a.message).cmp(&(b.code, &b.entities, &b.message))
-        });
-        let verdict = verdict(&ctx);
-        wormtrace::counter("lint.diagnostics", diagnostics.len() as u64);
-        for d in &diagnostics {
-            wormtrace::counter(
-                match d.severity {
+            if !found.is_empty() {
+                let name = match severity {
                     Severity::Allow => "lint.allow",
                     Severity::Warn => "lint.warn",
                     Severity::Deny => "lint.deny",
-                },
-                1,
-            );
+                };
+                wormtrace::counter(name, found.len() as u64);
+                total += found.len();
+            }
+            sink(found);
         }
-        LintReport {
-            diagnostics,
-            verdict,
-        }
+        wormtrace::counter("lint.diagnostics", total as u64);
+        verdict(ctx)
     }
+}
+
+/// A lint run's per-code and per-severity counts and verdict.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct LintSummary {
+    /// Diagnostics per code, sorted by code.
+    pub counts: BTreeMap<&'static str, usize>,
+    /// `Allow` diagnostics.
+    pub allow: usize,
+    /// `Warn` diagnostics.
+    pub warn: usize,
+    /// `Deny` diagnostics.
+    pub deny: usize,
+    /// The static deadlock-freedom verdict.
+    pub verdict: StaticVerdict,
 }
 
 impl Default for Registry {
@@ -248,14 +324,14 @@ impl Default for Registry {
 }
 
 /// Fold the per-candidate theorem classifications into one verdict.
-fn verdict(ctx: &LintContext<'_>) -> StaticVerdict {
+fn verdict(ctx: &Analysis<'_>) -> StaticVerdict {
     if ctx.scc_acyclic {
         return StaticVerdict::FreeAcyclic;
     }
     // Corollary 1: a node-function algorithm admits no false resource
     // cycles, so a cyclic CDG alone certifies a reachable deadlock —
     // no cycle enumeration needed (W105 carries the explanation).
-    if ctx.properties.node_function {
+    if ctx.properties().node_function {
         return StaticVerdict::Deadlockable;
     }
     let mut open = !ctx.cycles_complete || ctx.cycles.iter().any(|cy| !cy.enumeration_complete);

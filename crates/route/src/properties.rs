@@ -7,26 +7,91 @@
 //! dependency graph *does* imply deadlock. The experiments validate
 //! those corollaries by checking the predicates on a corpus of
 //! algorithms and comparing against exhaustive search.
+//!
+//! Every predicate is decided by one fused walk over the table
+//! ([`analyze`]): one BFS per distinct source (the table iterates in
+//! `(src, dst)` order), one node buffer reused across paths, and
+//! prefix/suffix checks that compare channel slices against the
+//! registered paths through a dense pair index. The same walk counts
+//! the violations and keeps the witnesses the `W101`–`W104` lints
+//! report, so nothing downstream re-walks the table. The `is_*`
+//! functions are projections of that report.
 
-use wormnet::Network;
+use std::collections::BTreeMap;
 
+use wormnet::{ChannelId, Network, NodeId};
+
+use crate::path::Path;
 use crate::table::TableRouting;
+
+/// Per-(node, node) tables are dense `n × n` arrays up to this many
+/// cells (the cluster-scale fabrics), and ordered maps beyond it.
+pub const DENSE_CELL_LIMIT: usize = 1 << 24;
+
+/// An ordered `(source, destination)` node pair.
+pub type Pair = (NodeId, NodeId);
+
+/// How often one property fails, with the witness its lint reports.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Violations<W> {
+    /// Number of violations.
+    pub count: usize,
+    /// The reported violation (`None` iff `count == 0`).
+    pub witness: Option<W>,
+}
+
+impl<W> Default for Violations<W> {
+    fn default() -> Self {
+        Violations {
+            count: 0,
+            witness: None,
+        }
+    }
+}
+
+impl<W> Violations<W> {
+    /// Count one violation, keeping the first witness.
+    fn first(&mut self, witness: W) {
+        self.count += 1;
+        self.witness.get_or_insert(witness);
+    }
+}
+
+/// A path longer than its pair's hop distance.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Detour {
+    /// The routed pair.
+    pub pair: Pair,
+    /// Channels on its path.
+    pub len: usize,
+    /// Its hop distance in the node graph.
+    pub distance: usize,
+}
+
+/// A Definition 7/8 violation: the path of `pair` passes the node at
+/// walk position `pos`, and the registered path to (prefix) or from
+/// (suffix) that node is missing or differs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ClosureBreak {
+    /// The routed pair whose path is checked.
+    pub pair: Pair,
+    /// Position of the intermediate node on the pair's node walk.
+    pub pos: usize,
+}
+
+/// A path that visits some node twice.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Revisit {
+    /// The routed pair.
+    pub pair: Pair,
+    /// The first node, in walk order, seen for the second time.
+    pub node: NodeId,
+}
 
 /// Whether every routed path is a shortest path in the node graph
 /// ("minimal routing", paper Section 1).
-///
-/// The table iterates in `(src, dst)` order, so one BFS per distinct
-/// source serves all its destinations — the difference between
-/// quadratic and cubic work on the cluster-scale fabrics.
 pub fn is_minimal(net: &Network, table: &TableRouting) -> bool {
-    let mut cached: Option<(wormnet::NodeId, Vec<Option<usize>>)> = None;
-    table.iter().all(|(&(src, dst), path)| {
-        if cached.as_ref().map(|(s, _)| *s) != Some(src) {
-            cached = Some((src, net.distances_from(src)));
-        }
-        let (_, dist) = cached.as_ref().expect("cache was just refreshed");
-        dist[dst.index()] == Some(path.len())
-    })
+    analyze(net, table).minimal
 }
 
 /// Definition 7: the algorithm is **prefix-closed** if whenever the
@@ -38,30 +103,7 @@ pub fn is_minimal(net: &Network, table: &TableRouting) -> bool {
 /// makes the algorithm non-prefix-closed because Definition 7 demands
 /// the partial path be *specified* by the algorithm.
 pub fn is_prefix_closed(net: &Network, table: &TableRouting) -> bool {
-    table.iter().all(|(&(src, _dst), path)| {
-        let nodes = path.nodes(net);
-        // Interior nodes only: skip source (pos 0) and final node.
-        nodes[1..nodes.len() - 1].iter().enumerate().all(|(i, &v)| {
-            if v == src {
-                // Path returned to its own source; the "first
-                // occurrence" of src is position 0 and the prefix is
-                // empty, which the definition does not constrain.
-                return true;
-            }
-            // Only the first occurrence of v is constrained.
-            let first_pos = nodes
-                .iter()
-                .position(|&n| n == v)
-                .expect("v is on the walk");
-            if first_pos != i + 1 {
-                return true;
-            }
-            match (path.prefix_to(net, v), table.path(src, v)) {
-                (Some(prefix), Some(registered)) => *registered == prefix,
-                _ => false,
-            }
-        })
-    })
+    analyze(net, table).prefix_closed
 }
 
 /// Definition 8: the algorithm is **suffix-closed** if whenever the
@@ -74,25 +116,12 @@ pub fn is_prefix_closed(net: &Network, table: &TableRouting) -> bool {
 /// routing function of the form `R : N × N → C`, which the paper notes
 /// is always suffix-closed).
 pub fn is_suffix_closed(net: &Network, table: &TableRouting) -> bool {
-    table.iter().all(|(&(_src, dst), path)| {
-        let nodes = path.nodes(net);
-        (1..nodes.len() - 1).all(|pos| {
-            let v = nodes[pos];
-            if v == dst {
-                return true; // suffix from dst is empty
-            }
-            let suffix = path.suffix_from_pos(pos).expect("interior position");
-            match table.path(v, dst) {
-                Some(registered) => *registered == suffix,
-                None => false,
-            }
-        })
-    })
+    analyze(net, table).suffix_closed
 }
 
 /// Whether no routed path visits any node more than once.
 pub fn never_revisits_nodes(net: &Network, table: &TableRouting) -> bool {
-    table.iter().all(|(_, path)| path.is_node_simple(net))
+    analyze(net, table).node_simple
 }
 
 /// Whether the algorithm is realizable as a routing function of the
@@ -104,53 +133,16 @@ pub fn never_revisits_nodes(net: &Network, table: &TableRouting) -> bool {
 /// means a reachable deadlock. Every node-function algorithm is
 /// suffix-closed (when total); the converse need not hold.
 pub fn is_node_function(net: &Network, table: &TableRouting) -> bool {
-    // Dense (current node, destination) matrix when n^2 cells are
-    // affordable (the cluster-scale fabrics), else a map.
-    let n = net.node_count();
-    const DENSE_CELL_LIMIT: usize = 1 << 24;
-    if let Some(cells) = n.checked_mul(n).filter(|&c| c <= DENSE_CELL_LIMIT) {
-        const EMPTY: u32 = u32::MAX;
-        let mut choice = vec![EMPTY; cells];
-        for (&(_, dst), path) in table.iter() {
-            let nodes = path.nodes(net);
-            for (i, &c) in path.channels().iter().enumerate() {
-                let slot = &mut choice[nodes[i].index() * n + dst.index()];
-                let cid = c.index() as u32;
-                if *slot == EMPTY {
-                    *slot = cid;
-                } else if *slot != cid {
-                    return false;
-                }
-            }
-        }
-        return true;
-    }
-    use std::collections::BTreeMap;
-    let mut choice: BTreeMap<(wormnet::NodeId, wormnet::NodeId), wormnet::ChannelId> =
-        BTreeMap::new();
-    for (&(_, dst), path) in table.iter() {
-        let nodes = path.nodes(net);
-        for (i, &c) in path.channels().iter().enumerate() {
-            let at = nodes[i];
-            match choice.get(&(at, dst)) {
-                Some(&prev) if prev != c => return false,
-                Some(_) => {}
-                None => {
-                    choice.insert((at, dst), c);
-                }
-            }
-        }
-    }
-    true
+    analyze(net, table).node_function
 }
 
 /// Definition 9: **coherent** = prefix-closed ∧ suffix-closed ∧ never
 /// routes a message through the same node twice.
 pub fn is_coherent(net: &Network, table: &TableRouting) -> bool {
-    never_revisits_nodes(net, table) && is_prefix_closed(net, table) && is_suffix_closed(net, table)
+    analyze(net, table).coherent
 }
 
-/// A structured property report used by analyses and examples.
+/// Every property of a table, with violation counts and witnesses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PropertyReport {
     /// All pairs routed.
@@ -167,21 +159,216 @@ pub struct PropertyReport {
     pub coherent: bool,
     /// Realizable as `R : N × N → C` (Corollary 1's class).
     pub node_function: bool,
+    /// Paths longer than their hop distance; the witness is the
+    /// largest excess, first in table order on ties (`W101`).
+    pub detours: Violations<Detour>,
+    /// Definition 8 violations, first in table order (`W102`).
+    pub suffix_breaks: Violations<ClosureBreak>,
+    /// Definition 7 violations, first in table order (`W103`).
+    pub prefix_breaks: Violations<ClosureBreak>,
+    /// Paths revisiting a node, first in table order (`W104`).
+    pub revisits: Violations<Revisit>,
 }
 
-/// Evaluate all properties at once.
+/// Marks an unreached node in the BFS distance buffer and an unrouted
+/// cell in the dense tables.
+const NONE: u32 = u32::MAX;
+
+/// `(node, node) → path` lookups: dense under [`DENSE_CELL_LIMIT`],
+/// the table's own map beyond it.
+struct PairIndex<'t> {
+    n: usize,
+    table: &'t TableRouting,
+    /// Cell `s * n + d` holds the index of the pair's path in `paths`.
+    dense: Option<(Vec<u32>, Vec<&'t Path>)>,
+}
+
+impl<'t> PairIndex<'t> {
+    fn new(n: usize, table: &'t TableRouting, cell_limit: usize) -> Self {
+        let dense = dense_cells(n, cell_limit).map(|cells| {
+            let mut index = vec![NONE; cells];
+            let mut paths = Vec::with_capacity(table.len());
+            for (i, (&(s, d), path)) in table.iter().enumerate() {
+                index[s.index() * n + d.index()] = i as u32;
+                paths.push(path);
+            }
+            (index, paths)
+        });
+        PairIndex { n, table, dense }
+    }
+
+    fn channels(&self, s: NodeId, d: NodeId) -> Option<&'t [ChannelId]> {
+        let path = match &self.dense {
+            Some((index, paths)) => match index[s.index() * self.n + d.index()] {
+                NONE => None,
+                i => Some(paths[i as usize]),
+            },
+            None => self.table.path(s, d),
+        };
+        path.map(Path::channels)
+    }
+}
+
+/// The `(current node, destination) → channel` choices seen so far,
+/// for the node-function test.
+enum Choices {
+    Dense(usize, Vec<u32>),
+    Sparse(BTreeMap<Pair, ChannelId>),
+}
+
+impl Choices {
+    fn new(n: usize, cell_limit: usize) -> Self {
+        match dense_cells(n, cell_limit) {
+            Some(cells) => Choices::Dense(n, vec![NONE; cells]),
+            None => Choices::Sparse(BTreeMap::new()),
+        }
+    }
+
+    /// Record `at → c` toward `dst`; `false` on a conflicting choice.
+    fn agree(&mut self, at: NodeId, dst: NodeId, c: ChannelId) -> bool {
+        match self {
+            Choices::Dense(n, cells) => {
+                let slot = &mut cells[at.index() * *n + dst.index()];
+                if *slot == NONE {
+                    *slot = c.index() as u32;
+                }
+                *slot == c.index() as u32
+            }
+            Choices::Sparse(map) => *map.entry((at, dst)).or_insert(c) == c,
+        }
+    }
+}
+
+fn dense_cells(n: usize, cell_limit: usize) -> Option<usize> {
+    n.checked_mul(n).filter(|&c| c <= cell_limit)
+}
+
+/// Hop distances from `src` into `dist` (`NONE` = unreachable),
+/// reusing `queue`.
+fn bfs(net: &Network, src: NodeId, dist: &mut [u32], queue: &mut Vec<NodeId>) {
+    dist.fill(NONE);
+    queue.clear();
+    dist[src.index()] = 0;
+    queue.push(src);
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
+        let next = dist[v.index()] + 1;
+        for &c in net.out_channels(v) {
+            let w = net.channel(c).dst();
+            if dist[w.index()] == NONE {
+                dist[w.index()] = next;
+                queue.push(w);
+            }
+        }
+    }
+}
+
+/// Evaluate every property in one walk over the table.
 pub fn analyze(net: &Network, table: &TableRouting) -> PropertyReport {
-    let prefix_closed = is_prefix_closed(net, table);
-    let suffix_closed = is_suffix_closed(net, table);
-    let node_simple = never_revisits_nodes(net, table);
+    walk(net, table, DENSE_CELL_LIMIT)
+}
+
+/// [`analyze`] with dense per-pair tables up to `cell_limit` cells.
+fn walk(net: &Network, table: &TableRouting, cell_limit: usize) -> PropertyReport {
+    let n = net.node_count();
+    let index = PairIndex::new(n, table, cell_limit);
+    let mut choices = Choices::new(n, cell_limit);
+    let mut minimal = true;
+    let mut node_function = true;
+    let mut detours = Violations::<Detour>::default();
+    let mut suffix_breaks = Violations::default();
+    let mut prefix_breaks = Violations::default();
+    let mut revisits = Violations::default();
+
+    let mut dist = vec![NONE; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut bfs_src = None;
+    let mut nodes: Vec<NodeId> = Vec::new();
+    // `seen[v] == stamp` iff the current path has already visited v.
+    let mut seen = vec![0usize; n];
+
+    for (i, (&pair, path)) in table.iter().enumerate() {
+        let (src, dst) = pair;
+        let stamp = i + 1;
+        let chans = path.channels();
+        nodes.clear();
+        nodes.push(net.channel(chans[0]).src());
+        nodes.extend(chans.iter().map(|&c| net.channel(c).dst()));
+
+        if bfs_src != Some(src) {
+            bfs(net, src, &mut dist, &mut queue);
+            bfs_src = Some(src);
+        }
+        match dist[dst.index()] {
+            NONE => minimal = false,
+            d => {
+                let distance = d as usize;
+                minimal &= chans.len() == distance;
+                if chans.len() > distance {
+                    detours.count += 1;
+                    let excess = |w: &Detour| w.len - w.distance;
+                    let here = Detour {
+                        pair,
+                        len: chans.len(),
+                        distance,
+                    };
+                    if detours.witness.is_none_or(|w| excess(&here) > excess(&w)) {
+                        detours.witness = Some(here);
+                    }
+                }
+            }
+        }
+
+        let last = nodes.len() - 1;
+        let mut revisited = None;
+        for (pos, &v) in nodes.iter().enumerate() {
+            let first = seen[v.index()] != stamp;
+            seen[v.index()] = stamp;
+            if !first && revisited.is_none() {
+                revisited = Some(v);
+            }
+            if pos == 0 || pos == last {
+                continue;
+            }
+            // Definition 7 constrains first occurrences only (a return
+            // to the source is never one: its prefix is empty).
+            if first && index.channels(src, v) != Some(&chans[..pos]) {
+                prefix_breaks.first(ClosureBreak { pair, pos });
+            }
+            // Definition 8 constrains every occurrence; the suffix from
+            // the destination itself is empty.
+            if v != dst && index.channels(v, dst) != Some(&chans[pos..]) {
+                suffix_breaks.first(ClosureBreak { pair, pos });
+            }
+        }
+        if let Some(node) = revisited {
+            revisits.first(Revisit { pair, node });
+        }
+
+        if node_function {
+            node_function = chans
+                .iter()
+                .zip(&nodes)
+                .all(|(&c, &at)| choices.agree(at, dst, c));
+        }
+    }
+
+    let prefix_closed = prefix_breaks.count == 0;
+    let suffix_closed = suffix_breaks.count == 0;
+    let node_simple = revisits.count == 0;
     PropertyReport {
         total: table.is_total(net),
-        minimal: is_minimal(net, table),
+        minimal,
         prefix_closed,
         suffix_closed,
         node_simple,
         coherent: prefix_closed && suffix_closed && node_simple,
-        node_function: is_node_function(net, table),
+        node_function,
+        detours,
+        suffix_breaks,
+        prefix_breaks,
+        revisits,
     }
 }
 
@@ -387,6 +574,77 @@ mod tests {
         let table = dimension_order(&mesh).unwrap();
         assert!(is_node_function(mesh.network(), &table));
         assert!(is_suffix_closed(mesh.network(), &table));
+    }
+
+    #[test]
+    fn sparse_fallback_matches_dense_tables() {
+        use crate::algorithms::{dateline_ring, random_table};
+        use rand::SeedableRng;
+        use wormnet::topology::{complete, ring_with_vcs};
+        let (ring, nodes) = ring_with_vcs(5, 2);
+        let mut cases = vec![(ring.clone(), dateline_ring(&ring, &nodes).unwrap())];
+        for seed in 0..8 {
+            let (net, _) = complete(5);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let table = random_table(&net, &mut rng, 1).unwrap();
+            cases.push((net, table));
+        }
+        for (net, table) in &cases {
+            assert_eq!(walk(net, table, 0), analyze(net, table));
+        }
+    }
+
+    #[test]
+    fn witnesses_name_the_first_violations() {
+        let (net, nodes) = line(4);
+        let mut table = TableRouting::new();
+        let walk_of = |ix: &[usize]| {
+            let ns: Vec<NodeId> = ix.iter().map(|&i| nodes[i]).collect();
+            Path::from_nodes(&net, &ns).unwrap()
+        };
+        table
+            .insert(&net, nodes[0], nodes[3], walk_of(&[0, 1, 2, 3]))
+            .unwrap();
+        table
+            .insert(&net, nodes[1], nodes[0], walk_of(&[1, 2, 1, 0]))
+            .unwrap();
+        let r = analyze(&net, &table);
+        // (0,3) misses (0,1), (0,2), (1,3) and (2,3). (1,0) misses
+        // (1,2) as a prefix and (2,0) as a suffix; the return to n1 is
+        // no prefix, but its suffix n1 -> n0 differs from the
+        // registered (1,0) detour.
+        assert_eq!(r.prefix_breaks.count, 3);
+        assert_eq!(
+            r.prefix_breaks.witness,
+            Some(ClosureBreak {
+                pair: (nodes[0], nodes[3]),
+                pos: 1
+            })
+        );
+        assert_eq!(r.suffix_breaks.count, 4);
+        assert_eq!(
+            r.suffix_breaks.witness,
+            Some(ClosureBreak {
+                pair: (nodes[0], nodes[3]),
+                pos: 1
+            })
+        );
+        assert_eq!(
+            r.revisits.witness,
+            Some(Revisit {
+                pair: (nodes[1], nodes[0]),
+                node: nodes[1]
+            })
+        );
+        assert_eq!(
+            r.detours.witness,
+            Some(Detour {
+                pair: (nodes[1], nodes[0]),
+                len: 3,
+                distance: 1
+            })
+        );
+        assert!(!r.minimal && !r.coherent && !r.total);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! they are what the result cache keys on.
 
 use worm_core::classify::ClassifyOptions;
+use worm_core::{AnalysisOptions, Scope};
 use wormexist::ExistOptions;
 use wormfault::FaultPlan;
 use wormlint::LintConfig;
@@ -75,6 +76,18 @@ impl CompiledJob {
     /// The network under analysis.
     pub fn network(&self) -> &wormnet::Network {
         self.topology.network()
+    }
+
+    /// The budgets of the job's one [`worm_core::Analysis`]: the
+    /// classifier's cycle/candidate budgets and SCC engine (lint's are
+    /// resolved from the same verify keys) and the existence budgets,
+    /// complete, since lint reads every candidate.
+    pub fn analysis_options(&self) -> AnalysisOptions {
+        AnalysisOptions {
+            exist: self.exist_options.clone(),
+            scope: Scope::Complete,
+            ..self.classify_options.analysis_options()
+        }
     }
 }
 

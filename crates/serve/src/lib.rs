@@ -6,7 +6,7 @@
 //!
 //! The pieces, in data-flow order:
 //!
-//! - [`compile`] — parse + resolve a source through every per-crate
+//! - [`compile()`] — parse + resolve a source through every per-crate
 //!   seam (`wormnet::spec`, `wormroute::spec`, `wormsim::spec`,
 //!   `wormfault::spec`, `wormlint::spec`, `worm_core::spec`,
 //!   `wormsearch::spec`) into a [`CompiledJob`];
@@ -17,10 +17,10 @@
 //!   canonical spec hash, hit = byte-identical replay;
 //! - [`Server`] — the worker pool gluing the above together, with
 //!   graceful drain on [`Server::shutdown`];
-//! - [`lift`] — the inverse seam: express an in-memory network and
+//! - [`lift()`] — the inverse seam: express an in-memory network and
 //!   routing table as an explicit spec (how the lint corpus became
 //!   committed `.wspec` files);
-//! - [`specgen`](crate::specgen) — seeded spec generation and the
+//! - [`specgen`] — seeded spec generation and the
 //!   lint/classifier/search three-way differential fuzzer.
 //!
 //! `docs/SERVICE.md` is the operator-facing guide to all of this;

@@ -24,12 +24,14 @@
 //! run over; with an empty resolved traffic list they degrade to
 //! `{"skipped":"no messages"}`.
 
-use worm_core::classify::{classify_algorithm, AlgorithmVerdict};
+use worm_core::classify::{classify_analysis, AlgorithmVerdict};
+use worm_core::Analysis;
+use wormcdg::Cdg;
 use wormexist::ExistenceReport;
-use wormfault::{reverify, FaultOutcome, FaultRunner, RetryPolicy};
-use wormlint::{LintReport, Registry};
+use wormfault::{reverify_from, FaultOutcome, FaultRunner, RetryPolicy};
+use wormlint::{LintSummary, Registry};
 use wormsearch::{explore, Verdict as SearchVerdict};
-use wormsim::runner::{ArbitrationPolicy, Outcome, Runner};
+use wormsim::runner::{ArbitrationPolicy, EngineKind, Outcome, Runner};
 use wormsim::Sim;
 use wormspec::ast::VerifyEngine;
 
@@ -91,18 +93,18 @@ fn classifier_cycle_count(v: &AlgorithmVerdict) -> usize {
     }
 }
 
-fn lint_block(report: &LintReport) -> String {
-    let counts: Vec<(&str, String)> = report
-        .counts_by_code()
-        .into_iter()
-        .map(|(code, n)| (code, n.to_string()))
+fn lint_block(summary: &LintSummary) -> String {
+    let counts: Vec<(&str, String)> = summary
+        .counts
+        .iter()
+        .map(|(&code, n)| (code, n.to_string()))
         .collect();
     obj(&[
-        ("allow", report.allow_count().to_string()),
+        ("allow", summary.allow.to_string()),
         ("counts", obj(&counts)),
-        ("deny", report.deny_count().to_string()),
-        ("verdict", format!("\"{}\"", report.verdict.name())),
-        ("warn", report.warn_count().to_string()),
+        ("deny", summary.deny.to_string()),
+        ("verdict", format!("\"{}\"", summary.verdict.name())),
+        ("warn", summary.warn.to_string()),
     ])
 }
 
@@ -160,7 +162,9 @@ fn search_block(job: &CompiledJob) -> String {
     ])
 }
 
-fn sim_block(job: &CompiledJob) -> String {
+/// The `sim` block, run on `engine`. Both engines are bit-identical
+/// (`tests/diff_sim.rs`); the service runs the event core.
+fn sim_block(job: &CompiledJob, engine: EngineKind) -> String {
     if job.messages.is_empty() {
         return skipped("no messages");
     }
@@ -175,6 +179,7 @@ fn sim_block(job: &CompiledJob) -> String {
     };
     if job.plan.is_empty() {
         let outcome = Runner::new(&sim, ArbitrationPolicy::LowestId)
+            .with_engine(engine)
             .with_skew(job.skew.clone())
             .run(job.horizon);
         match outcome {
@@ -205,7 +210,8 @@ fn sim_block(job: &CompiledJob) -> String {
             ArbitrationPolicy::LowestId,
             job.plan.clone(),
             RetryPolicy::Passive,
-        );
+        )
+        .with_engine(engine);
         match runner.run(job.horizon) {
             FaultOutcome::Delivered { cycles } => obj(&[
                 ("cycles", cycles.to_string()),
@@ -250,8 +256,18 @@ fn existence_block(report: &ExistenceReport) -> String {
     ])
 }
 
-fn faults_block(job: &CompiledJob) -> String {
-    let report = reverify(job.network(), &job.table, &job.plan, &job.classify_options);
+/// The `faults` block: the degraded half of re-verification, against
+/// the healthy CDG and verdict the document already holds.
+fn faults_block(job: &CompiledJob, healthy: &Cdg, baseline: AlgorithmVerdict) -> String {
+    let report = reverify_from(
+        job.network(),
+        &job.table,
+        healthy,
+        baseline,
+        &job.plan,
+        &job.classify_options,
+        &job.exist_options,
+    );
     obj(&[
         (
             "baseline",
@@ -274,31 +290,36 @@ fn faults_block(job: &CompiledJob) -> String {
 /// Run the verdict engines selected by the spec and render the
 /// `wormserve/1` document.
 ///
+/// One [`Analysis`] of the job's table feeds the lint, classifier,
+/// existence and faults blocks: one property walk, one CDG build and
+/// one existence run, all under the job's budgets.
+///
 /// The output is a single line of JSON with sorted keys and **no
 /// timings and no job name** — it depends only on the canonical spec,
 /// which is what makes byte-identical cache replay sound.
 pub fn verdict_json(job: &CompiledJob) -> String {
-    let registry = Registry::with_default_lints();
-    let lint_report = registry.run(job.network(), &job.table, &job.lint_config);
-    let classifier = classify_algorithm(job.network(), &job.table, &job.classify_options);
-
-    let existence = wormexist::analyze(job.network(), &job.exist_options);
-
+    let analysis = Analysis::build(job.network(), &job.table, &job.analysis_options());
+    let lint = Registry::with_default_lints().summarize(&analysis, &job.lint_config);
+    let classifier = classify_analysis(&analysis, &job.classify_options);
     let mut fields: Vec<(&str, String)> = vec![
         ("classifier", classifier_block(&classifier)),
         ("engine", format!("\"{}\"", engine_name(job.engine))),
-        ("existence", existence_block(&existence)),
+        ("existence", existence_block(analysis.existence())),
     ];
+    // The degraded half needs only the healthy CDG, and search and
+    // simulation read nothing of the analysis: free the rest first.
+    let healthy = analysis.into_cdg();
     if job.spec.faults.is_some() {
-        fields.push(("faults", faults_block(job)));
+        fields.push(("faults", faults_block(job, &healthy, classifier)));
     }
-    fields.push(("lint", lint_block(&lint_report)));
+    drop(healthy);
+    fields.push(("lint", lint_block(&lint)));
     fields.push(("schema", format!("\"{SCHEMA}\"")));
     if matches!(job.engine, VerifyEngine::Search | VerifyEngine::Full) {
         fields.push(("search", search_block(job)));
     }
     if matches!(job.engine, VerifyEngine::Sim | VerifyEngine::Full) {
-        fields.push(("sim", sim_block(job)));
+        fields.push(("sim", sim_block(job, EngineKind::Event)));
     }
     fields.push(("spec_hash", format!("\"{}\"", job.hash)));
     obj(&fields)
@@ -389,6 +410,111 @@ mod tests {
         let a = verdict_json(&compile(src).unwrap());
         let b = verdict_json(&compile(src).unwrap());
         assert_eq!(a, b);
+    }
+
+    /// The service runs the sim block on the event core; the stepping
+    /// engine must render the same bytes on every traffic shape,
+    /// deadlocking and skewed specs included.
+    #[test]
+    fn sim_block_is_engine_independent() {
+        let mesh = "wormspec/1\n\
+                    topology { kind = mesh dims = [4, 4] }\n\
+                    routing { engine = dimension_order }\n";
+        let ring = "wormspec/1\n\
+                    topology { kind = ring nodes = 4 }\n\
+                    routing { engine = clockwise_ring }\n";
+        let cases = [
+            (
+                mesh,
+                "traffic { pattern = uniform rate = 0.05 horizon = 200 cycles seed = 3 length = 4 flits }",
+                "\"delivered\"",
+            ),
+            (
+                mesh,
+                "traffic { pattern = transpose length = 8 flits }",
+                "\"delivered\"",
+            ),
+            (
+                mesh,
+                "traffic { pattern = hotspot hotspot = \"m(1,2)\" length = 8 flits }",
+                "\"delivered\"",
+            ),
+            (
+                ring,
+                "traffic {\n\
+                   pattern = explicit\n\
+                   message \"r0\" -> \"r3\" length 4 flits\n\
+                   message \"r1\" -> \"r0\" length 4 flits\n\
+                   message \"r2\" -> \"r1\" length 4 flits\n\
+                   message \"r3\" -> \"r2\" length 4 flits\n\
+                 }",
+                "\"deadlock\"",
+            ),
+            (
+                mesh,
+                "traffic {\n\
+                   pattern = transpose length = 8 flits\n\
+                   pause \"m(1,1)\" period 3 cycles offset 1 cycles\n\
+                   pause \"m(2,0)\" period 5 cycles offset 0 cycles\n\
+                 }",
+                "\"delivered\"",
+            ),
+            (
+                ring,
+                "traffic { pattern = uniform rate = 0.1 horizon = 60 cycles seed = 9 length = 3 flits }\n\
+                 faults { down c1 @ 20 cycles }",
+                "\"outcome\"",
+            ),
+        ];
+        for (base, traffic, outcome) in cases {
+            let src = format!("{base}{traffic}\nverify {{ engine = sim horizon = 2000 cycles }}\n");
+            let job = compile(&src).unwrap_or_else(|e| panic!("{src}: {e:?}"));
+            let event = sim_block(&job, EngineKind::Event);
+            assert_eq!(event, sim_block(&job, EngineKind::Stepping), "{src}");
+            assert!(event.contains(outcome), "{src}: {event}");
+        }
+    }
+
+    /// A four-router ring with two chords: deficiency, precedence,
+    /// branchings and greedy all leave it open, so only the exact
+    /// reach-game search (bounded by `verify { max_states }`) decides
+    /// that a deadlock-free routing exists.
+    const EXACT_GAME_FABRIC: &str = "wormspec/1\n\
+        topology {\n\
+          kind = explicit\n\
+          node \"r0\"\n node \"r1\"\n node \"r2\"\n node \"r3\"\n\
+          channel \"r0\" -> \"r1\"\n channel \"r1\" -> \"r2\"\n\
+          channel \"r2\" -> \"r3\"\n channel \"r3\" -> \"r0\"\n\
+          channel \"r1\" -> \"r0\"\n channel \"r0\" -> \"r2\"\n\
+        }\n\
+        routing { engine = shortest_path }\n";
+
+    /// The `existence` block and the `W3xx` lints read one existence
+    /// run under the job's budget: `W304` (undecided) fires exactly
+    /// when the block says `unknown`, at every `max_states`.
+    #[test]
+    fn lint_and_existence_block_share_the_job_budget() {
+        let (mut unknown, mut exists) = (0, 0);
+        for max_states in [1u64, 2, 4, 8, 16, 64, 256, 4096, 1 << 20] {
+            let src = format!("{EXACT_GAME_FABRIC}verify {{ max_states = {max_states} }}\n");
+            let v = verdict_json(&compile(&src).unwrap());
+            let block = &v[v.find("\"existence\":{").expect("existence block")..];
+            let block = &block[..block.find('}').expect("flat block")];
+            let lint = &v[v.find("\"lint\":{").expect("lint block")..];
+            let w304 = lint.contains("\"W304\":");
+            if block.contains("\"verdict\":\"unknown\"") {
+                assert!(w304, "max_states {max_states}: {v}");
+                unknown += 1;
+            } else {
+                assert!(block.contains("\"kind\":\"exact\""), "{v}");
+                assert!(
+                    !w304 && lint.contains("\"W301\":"),
+                    "max_states {max_states}: {v}"
+                );
+                exists += 1;
+            }
+        }
+        assert!(unknown > 0 && exists > 0, "the sweep must cross the budget");
     }
 
     #[test]

@@ -156,9 +156,11 @@ impl<'a> Runner<'a> {
     }
 
     /// Attach a clock-skew model: each cycle, queues hosted by paused
-    /// routers neither transmit nor accept flits.
+    /// routers neither transmit nor accept flits. A model in which no
+    /// router ever pauses freezes nothing and is dropped, so the event
+    /// engine may still fast-forward over idle cycles.
     pub fn with_skew(mut self, skew: SkewModel) -> Self {
-        self.skew = Some(skew);
+        self.skew = (!skew.never_pauses()).then_some(skew);
         self
     }
 

@@ -75,6 +75,11 @@ impl SkewModel {
         net.nodes().map(|n| net.in_channels(n).to_vec()).collect()
     }
 
+    /// Whether no router ever pauses.
+    pub fn never_pauses(&self) -> bool {
+        self.schedule.iter().all(Option::is_none)
+    }
+
     /// Whether `node` pauses on cycle `t`.
     pub fn is_paused(&self, node: NodeId, t: u64) -> bool {
         match self.schedule[node.index()] {
@@ -117,12 +122,14 @@ mod tests {
 
     #[test]
     fn none_freezes_nothing() {
-        let (net, _) = line(3);
+        let (net, nodes) = line(3);
         let skew = SkewModel::none(&net);
         for t in 0..10 {
             assert!(skew.frozen_at(t).is_empty());
         }
         assert_eq!(skew.max_pauses_in_window(100), 0);
+        assert!(skew.never_pauses());
+        assert!(!skew.with_pause(nodes[1], 3, 0).never_pauses());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!   sections are all validated with stable error codes.
 //! * [`diag`] — [`diag::SpecError`] with stable `E`-codes and rendered
 //!   line/column + caret-snippet diagnostics.
-//! * [`print`] — the `to_spec` pretty-printer; its output is the
+//! * [`print`](mod@print) — the `to_spec` pretty-printer; its output is the
 //!   **canonical form**, with `parse(print(ast)) == ast`.
 //! * [`canon`] — the FNV-1a 64-bit [`content_hash`] over the canonical
 //!   form, keying the `wormserve` result cache.

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use wormbench::lintcorpus::corpus;
 use wormbench::scenarios::search_scenarios;
-use wormlint::{LintConfig, LintContext, Registry, StaticVerdict};
+use wormlint::{Analysis, LintConfig, Registry, StaticVerdict};
 
 /// `true` when a lint verdict and a classifier verdict could describe
 /// the same spec. The lint verdict is coarser (no search), so
@@ -188,7 +188,7 @@ fn lint_verdicts_agree_with_search_on_scenarios() {
 fn deadlock_certificates_are_search_confirmed() {
     let mut confirmed = 0;
     for t in corpus() {
-        let ctx = LintContext::build(&t.net, &t.table, 10_000, 10_000);
+        let ctx = Analysis::build(&t.net, &t.table, &LintConfig::default().analysis_options());
         for (_, ca) in ctx.candidates() {
             if ca.class.reachable() != Some(true) {
                 continue;
@@ -205,6 +205,40 @@ fn deadlock_certificates_are_search_confirmed() {
     // fig2 + four reachable fig3 scenarios + the ring cycles all carry
     // certificates; if this count collapses the test went vacuous.
     assert!(confirmed >= 6, "only {confirmed} certificates confirmed");
+}
+
+/// The counting reader `wormserve` renders from agrees with the full
+/// report on every corpus target, under default and overridden
+/// severities.
+#[test]
+fn summaries_match_full_reports() {
+    let registry = Registry::with_default_lints();
+    let mut promoted = LintConfig {
+        deny_warnings: true,
+        ..LintConfig::default()
+    };
+    promoted
+        .overrides
+        .insert("W201".to_string(), wormlint::Severity::Warn);
+    for config in [LintConfig::default(), promoted] {
+        for t in corpus() {
+            let analysis = Analysis::build(&t.net, &t.table, &config.analysis_options());
+            let report = registry.check(&analysis, &config);
+            let summary = registry.summarize(&analysis, &config);
+            assert_eq!(summary.counts, report.counts_by_code(), "{}", t.name);
+            assert_eq!(
+                (summary.allow, summary.warn, summary.deny, summary.verdict),
+                (
+                    report.allow_count(),
+                    report.warn_count(),
+                    report.deny_count(),
+                    report.verdict
+                ),
+                "{}",
+                t.name
+            );
+        }
+    }
 }
 
 /// JSON reports are byte-deterministic across repeated runs (the

@@ -24,7 +24,7 @@ use cyclic_wormhole::route::algorithms::{dragonfly_minimal, fattree_updown, full
 use cyclic_wormhole::search::{explore, SearchConfig};
 use cyclic_wormhole::sim::{MessageSpec, Sim};
 use wormbench::scenarios::large_topology_scenarios;
-use wormlint::{LintConfig, LintContext, Registry, StaticVerdict};
+use wormlint::{Analysis, LintConfig, Registry, StaticVerdict};
 
 /// Largest finite shortest-path distance over all node pairs.
 fn diameter(net: &Network) -> usize {
@@ -244,16 +244,16 @@ fn downscaled_search_agrees_with_static_verdicts() {
         .find(|s| s.name == "topo_dragonfly_novc")
         .expect("novc scenario present");
     // The static certificate must be search-confirmed under either SCC
-    // engine (the lint context streams the CDG through the selected
+    // engine (the analysis streams the CDG through the selected
     // engine; the candidates it surfaces must deadlock for real).
     for engine in SccEngineKind::ALL {
-        let ctx = LintContext::build_with_engine(
-            &novc.net,
-            &novc.table,
-            MAX_CYCLES,
-            MAX_CANDIDATES,
-            engine,
-        );
+        let config = LintConfig {
+            max_cycles: MAX_CYCLES,
+            max_candidates: MAX_CANDIDATES,
+            scc_engine: engine,
+            ..LintConfig::default()
+        };
+        let ctx = Analysis::build(&novc.net, &novc.table, &config.analysis_options());
         assert!(!ctx.scc_acyclic, "novc CDG is cyclic ({})", engine.name());
         let mut confirmed = 0;
         for (_, ca) in ctx.candidates() {
