@@ -38,9 +38,9 @@ impl Cdg {
         Cdg::from_edges(channel_count, edges)
     }
 
-    /// Assemble a CDG from an already-collected edge map (shared by
-    /// [`Cdg::build`] and the incremental [`crate::CdgBuilder`]).
-    pub(crate) fn from_edges(
+    /// Assemble a CDG from an edge map (shared by [`Cdg::build`] and
+    /// [`Cdg::masked`]).
+    fn from_edges(
         channel_count: usize,
         edges: BTreeMap<(ChannelId, ChannelId), Vec<MsgPair>>,
     ) -> Self {
@@ -158,19 +158,7 @@ impl Cdg {
             .filter(|((c1, c2), _)| !down.contains(c1) && !down.contains(c2))
             .map(|(&key, wit)| (key, wit.clone()))
             .collect();
-        let mut adj = vec![Vec::new(); self.channel_count];
-        for &(c1, c2) in edges.keys() {
-            adj[c1.index()].push(c2.index());
-        }
-        for a in &mut adj {
-            a.sort_unstable();
-            a.dedup();
-        }
-        Cdg {
-            channel_count: self.channel_count,
-            edges,
-            adj,
-        }
+        Cdg::from_edges(self.channel_count, edges)
     }
 
     /// Graphviz DOT rendering of the dependency graph: vertices are

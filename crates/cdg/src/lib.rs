@@ -16,9 +16,6 @@
 //! * [`Cdg::cycles`] — enumeration of every elementary cycle, each a
 //!   [`CdgCycle`] — with streamed/bounded variants
 //!   ([`Cdg::cycles_streamed`]) for cluster-scale graphs.
-//! * [`CdgBuilder`] — incremental construction with *online*
-//!   acyclicity via Pearce–Kelly incremental SCCs, so a ~10^6-channel
-//!   fabric is certified (or refuted) while its table streams past.
 //! * [`deadlock_candidates`] — for a cycle, every *static* deadlock
 //!   configuration candidate (Definition 6): an assignment of
 //!   messages to contiguous channel segments of the cycle such that
@@ -47,14 +44,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod builder;
 mod candidates;
 mod graph;
 
 pub mod adaptive;
 pub mod sharing;
 
-pub use builder::CdgBuilder;
 pub use candidates::{
     all_candidates, deadlock_candidates, enumerate_candidates, DeadlockCandidate, Segment,
 };

@@ -27,9 +27,8 @@
 use std::sync::{Arc, OnceLock};
 
 use wormcdg::sharing::{self, SharingAnalysis};
-use wormcdg::{enumerate_candidates, Cdg, CdgBuilder, CdgCycle, DeadlockCandidate};
+use wormcdg::{enumerate_candidates, Cdg, CdgCycle, DeadlockCandidate};
 use wormexist::{ExistOptions, ExistenceReport};
-use wormnet::graph::SccEngineKind;
 use wormnet::Network;
 use wormroute::properties::{self, PropertyReport};
 use wormroute::TableRouting;
@@ -107,24 +106,21 @@ pub enum Scope {
     /// stack) and every enumerated candidate is classified.
     Complete,
     /// What the classifier's fold reads: the property walk runs only
-    /// when a cyclic CDG needs Theorem 3's minimality (or on first
-    /// [`Analysis::properties`] call), and each cycle's candidates are
-    /// classified in enumeration order up to the first the theorems
-    /// certify reachable — one reachable deadlock settles the cycle.
+    /// when a candidate reaches Theorem 3's minimality test (or on
+    /// first [`Analysis::properties`] call), and each cycle's
+    /// candidates are classified in enumeration order up to the first
+    /// the theorems certify reachable — one reachable deadlock settles
+    /// the cycle.
     Verdict,
 }
 
-/// Budgets and engines for one [`Analysis`].
+/// Budgets for one [`Analysis`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// Keep at most this many elementary CDG cycles.
     pub max_cycles: usize,
     /// Enumerate at most this many candidates per cycle.
     pub max_candidates: usize,
-    /// Which incremental-SCC engine streams the CDG. The CDG and every
-    /// verdict are engine-independent; only the construction cost
-    /// differs.
-    pub scc_engine: SccEngineKind,
     /// Budgets of the existence engine.
     pub exist: ExistOptions,
     /// How much is computed up front.
@@ -136,7 +132,6 @@ impl Default for AnalysisOptions {
         AnalysisOptions {
             max_cycles: 10_000,
             max_candidates: 10_000,
-            scc_engine: SccEngineKind::default(),
             exist: ExistOptions::default(),
             scope: Scope::Complete,
         }
@@ -152,10 +147,8 @@ pub struct Analysis<'a> {
     pub table: &'a TableRouting,
     /// The channel dependency graph.
     pub cdg: Cdg,
-    /// Whether the incremental-SCC engine certified the CDG acyclic
-    /// while it streamed the table. Always equals [`Cdg::is_acyclic`].
-    pub scc_acyclic: bool,
-    /// The Dally–Seitz channel numbering, when the CDG is acyclic.
+    /// The Dally–Seitz channel numbering (one topological order of
+    /// the CDG), when the CDG is acyclic.
     pub numbering: Option<Vec<usize>>,
     /// Elementary CDG cycles with candidate analyses (the first
     /// `max_cycles` in streamed order when the budget ran out). Under
@@ -173,31 +166,30 @@ pub struct Analysis<'a> {
 }
 
 impl<'a> Analysis<'a> {
-    /// Build the CDG through the selected SCC engine and, when it is
-    /// cyclic, enumerate and classify its cycles' candidates; walk the
-    /// table's properties as `opts.scope` says.
+    /// Build the CDG, number its channels topologically and, when it
+    /// is cyclic, enumerate and classify its cycles' candidates; walk
+    /// the table's properties as `opts.scope` says.
     pub fn build(net: &'a Network, table: &'a TableRouting, opts: &AnalysisOptions) -> Self {
         let properties = OnceLock::new();
         if opts.scope == Scope::Complete {
             let _ = properties.set(properties::analyze(net, table));
         }
-        let (cdg, scc_acyclic) = CdgBuilder::build_table(net, table, opts.scc_engine);
-        debug_assert_eq!(scc_acyclic, cdg.is_acyclic());
-        let numbering = scc_acyclic.then(|| {
-            cdg.numbering()
-                .expect("engine-certified acyclic CDG must have a topological numbering")
-        });
-        let (cycles, cycles_complete) = if scc_acyclic {
+        let cdg = Cdg::build(net, table);
+        let numbering = cdg.numbering();
+        let (cycles, cycles_complete) = if numbering.is_some() {
             (Vec::new(), true)
         } else {
             let (raw, complete) = cdg.cycles_streamed(opts.max_cycles);
-            // Theorem 3 needs the table-wide minimality predicate.
-            let minimal = properties
-                .get_or_init(|| properties::analyze(net, table))
-                .minimal;
+            // Theorem 3 needs the table-wide minimality predicate; the
+            // table is walked for it only once a candidate asks.
+            let minimal = || {
+                properties
+                    .get_or_init(|| properties::analyze(net, table))
+                    .minimal
+            };
             let cycles = raw
                 .into_iter()
-                .map(|cycle| analyze_cycle(net, table, &cdg, cycle, minimal, opts))
+                .map(|cycle| analyze_cycle(net, table, &cdg, cycle, &minimal, opts))
                 .collect();
             (cycles, complete)
         };
@@ -205,7 +197,6 @@ impl<'a> Analysis<'a> {
             net,
             table,
             cdg,
-            scc_acyclic,
             numbering,
             cycles,
             cycles_complete,
@@ -222,6 +213,12 @@ impl<'a> Analysis<'a> {
     pub fn properties(&self) -> &PropertyReport {
         self.properties
             .get_or_init(|| properties::analyze(self.net, self.table))
+    }
+
+    /// Dally–Seitz: whether the CDG is acyclic, i.e. has a
+    /// topological [`numbering`](Analysis::numbering).
+    pub fn is_acyclic(&self) -> bool {
+        self.numbering.is_some()
     }
 
     /// How much this analysis computed up front.
@@ -253,7 +250,7 @@ impl<'a> Analysis<'a> {
     /// theorems alone, before any search assistance: Corollary 1, or a
     /// theorem-certified reachable candidate on a cyclic CDG.
     pub fn statically_deadlockable(&self) -> bool {
-        !self.scc_acyclic
+        !self.is_acyclic()
             && (self.properties().node_function
                 || self
                     .candidates()
@@ -276,7 +273,7 @@ fn analyze_cycle(
     table: &TableRouting,
     cdg: &Cdg,
     cycle: CdgCycle,
-    minimal: bool,
+    minimal: &dyn Fn() -> bool,
     opts: &AnalysisOptions,
 ) -> CycleAnalysis {
     let (enumerated, enumeration_complete) = enumerate_candidates(cdg, &cycle, opts.max_candidates);
@@ -309,7 +306,7 @@ fn classify_static(
     cycle: &CdgCycle,
     candidate: &DeadlockCandidate,
     sharing: &SharingAnalysis,
-    minimal: bool,
+    minimal: &dyn Fn() -> bool,
 ) -> StaticClass {
     let mut outside = sharing.outside();
     // Theorem 2 / Corollaries 1–3: no sharing outside the cycle means
@@ -328,7 +325,7 @@ fn classify_static(
         return StaticClass::TwoSharers;
     }
     // Theorem 3: minimal routing, every configuration message shares.
-    if minimal && users.len() == candidate.segments.len() {
+    if users.len() == candidate.segments.len() && minimal() {
         return StaticClass::MinimalAllShare;
     }
     // Theorem 5: exactly three sharers, decided by eight conditions.
@@ -356,7 +353,7 @@ mod tests {
         let (net, nodes) = ring_unidirectional(4);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let a = build(&net, &table);
-        assert!(!a.scc_acyclic && a.numbering.is_none());
+        assert!(!a.is_acyclic() && a.numbering.is_none());
         assert!(a.cycles_complete);
         assert_eq!(a.cycles.len(), 1);
         assert!(!a.cycles[0].candidates.is_empty());
@@ -372,7 +369,7 @@ mod tests {
         let mesh = Mesh::new(&[3, 3]);
         let table = dimension_order(&mesh).unwrap();
         let a = build(mesh.network(), &table);
-        assert!(a.scc_acyclic && a.cycles.is_empty());
+        assert!(a.is_acyclic() && a.cycles.is_empty());
         let numbering = a.numbering.as_ref().expect("acyclic");
         for (&(c1, c2), _) in a.cdg.edges() {
             assert!(numbering[c1.index()] < numbering[c2.index()]);
@@ -449,11 +446,17 @@ mod tests {
             "acyclic: nothing needs the walk"
         );
         assert_eq!(*a.properties(), properties::analyze(mesh.network(), &table));
-        // A cyclic CDG needs Theorem 3's minimality before classifying.
+        // The ring's candidates are settled by Theorem 2, before
+        // Theorem 3 would ask whether the routing is minimal.
         let (net, nodes) = ring_unidirectional(4);
         let table = clockwise_ring(&net, &nodes).unwrap();
         let a = Analysis::build(&net, &table, &verdict_scope());
-        assert!(a.properties.get().is_some());
+        assert!(a.properties.get().is_none(), "Theorem 2 needs no walk");
+        // Figure 1's candidate has every message on the one outside
+        // shared channel, so Theorem 3's minimality test runs.
+        let c = fig1::cyclic_dependency();
+        let a = Analysis::build(&c.net, &c.table, &verdict_scope());
+        assert!(a.properties.get().is_some(), "Theorem 3 walks the table");
     }
 
     #[test]

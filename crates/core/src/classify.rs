@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use wormcdg::{CdgCycle, DeadlockCandidate};
 use wormexist::ExistOptions;
-use wormnet::graph::SccEngineKind;
 use wormnet::Network;
 use wormroute::TableRouting;
 use wormsearch::{explore, explore_parallel, explore_until, SearchConfig, Verdict};
@@ -163,11 +162,6 @@ pub struct ClassifyOptions {
     /// candidate that the search refutes is downgraded to
     /// [`CycleClass::DecidedBySearch`] with `reachable = false`.
     pub verify_theorems_with_search: bool,
-    /// Which incremental-SCC engine streams the CDG and decides the
-    /// acyclicity fast path (HKMST by default; Pearce–Kelly is the
-    /// second oracle). The verdict — and the certificate numbering —
-    /// is engine-independent; only the construction cost differs.
-    pub scc_engine: SccEngineKind,
 }
 
 impl Default for ClassifyOptions {
@@ -179,7 +173,6 @@ impl Default for ClassifyOptions {
             search_max_states: 2_000_000,
             search_threads: 1,
             verify_theorems_with_search: false,
-            scc_engine: SccEngineKind::default(),
         }
     }
 }
@@ -195,7 +188,7 @@ impl ClassifyOptions {
     }
 
     /// The analysis these options classify: their cycle and candidate
-    /// budgets and SCC engine, default existence budgets, and only what
+    /// budgets, default existence budgets, and only what
     /// the fold reads ([`Scope::Verdict`]) — unless theorem verdicts
     /// are re-checked by search, which may refute a theorem-certified
     /// candidate and so read past it.
@@ -203,7 +196,6 @@ impl ClassifyOptions {
         AnalysisOptions {
             max_cycles: self.max_cycles,
             max_candidates: self.max_candidates,
-            scc_engine: self.scc_engine,
             exist: ExistOptions::default(),
             scope: if self.verify_theorems_with_search {
                 Scope::Complete

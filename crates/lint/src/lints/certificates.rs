@@ -45,9 +45,7 @@ impl Lint for VcMonotoneCertificate {
         Severity::Allow
     }
     fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        // Acyclicity as certified online by the selected SCC engine
-        // (HKMST or Pearce–Kelly — identical by differential test).
-        if !ctx.scc_acyclic {
+        if !ctx.is_acyclic() {
             return Vec::new();
         }
         let mut multi_hop = 0usize;
@@ -104,7 +102,7 @@ impl Lint for DownUpCertificate {
         Severity::Allow
     }
     fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        if !ctx.scc_acyclic {
+        if !ctx.is_acyclic() {
             return Vec::new();
         }
         let mut multi_hop = 0usize;

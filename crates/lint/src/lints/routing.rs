@@ -234,7 +234,7 @@ impl Lint for NodeFunctionForm {
         if !ctx.properties().node_function {
             return Vec::new();
         }
-        let cyclic = !ctx.cdg.is_acyclic();
+        let cyclic = !ctx.is_acyclic();
         vec![Diagnostic::new(
             self.code(),
             self.name(),

@@ -24,11 +24,6 @@ pub struct LintConfig {
     pub max_cycles: usize,
     /// Budget for candidate enumeration per cycle.
     pub max_candidates: usize,
-    /// Which incremental-SCC engine streams the CDG and decides the
-    /// acyclicity the `W208`/`W209` certificates and the verdict rest
-    /// on. Diagnostics are engine-independent (differentially tested);
-    /// only the construction cost differs.
-    pub scc_engine: wormnet::graph::SccEngineKind,
 }
 
 impl Default for LintConfig {
@@ -38,19 +33,17 @@ impl Default for LintConfig {
             deny_warnings: false,
             max_cycles: 10_000,
             max_candidates: 10_000,
-            scc_engine: wormnet::graph::SccEngineKind::default(),
         }
     }
 }
 
 impl LintConfig {
     /// The analysis a standalone [`Registry::run`] reads: this config's
-    /// budgets and SCC engine, default existence budgets.
+    /// budgets, default existence budgets.
     pub fn analysis_options(&self) -> AnalysisOptions {
         AnalysisOptions {
             max_cycles: self.max_cycles,
             max_candidates: self.max_candidates,
-            scc_engine: self.scc_engine,
             exist: ExistOptions::default(),
             scope: Scope::Complete,
         }
@@ -325,7 +318,7 @@ impl Default for Registry {
 
 /// Fold the per-candidate theorem classifications into one verdict.
 fn verdict(ctx: &Analysis<'_>) -> StaticVerdict {
-    if ctx.scc_acyclic {
+    if ctx.is_acyclic() {
         return StaticVerdict::FreeAcyclic;
     }
     // Corollary 1: a node-function algorithm admits no false resource

@@ -53,8 +53,59 @@ fn brute_force_cycles(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<usize>> {
     out
 }
 
+/// Transitive closure by Floyd–Warshall: `reach[u][v]` iff a walk of
+/// zero or more edges leads from `u` to `v`.
+fn brute_force_reachability(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
+    let mut reach = vec![vec![false; n]; n];
+    for (v, row) in reach.iter_mut().enumerate() {
+        row[v] = true;
+    }
+    for &(u, v) in edges {
+        reach[u][v] = true;
+    }
+    for k in 0..n {
+        let via_k = reach[k].clone();
+        for row in reach.iter_mut().filter(|row| row[k]) {
+            for (r, &w) in row.iter_mut().zip(&via_k) {
+                *r |= w;
+            }
+        }
+    }
+    reach
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Tarjan's components are exactly the mutual-reachability classes
+    /// (u and v share a component iff each reaches the other), each
+    /// vertex lies in one component, and components come out in reverse
+    /// topological order of the condensation.
+    #[test]
+    fn tarjan_matches_mutual_reachability(
+        (n, edges) in (1usize..30).prop_flat_map(|n| {
+            (Just(n), prop::collection::vec((0..n, 0..n), 0..80))
+        })
+    ) {
+        let reach = brute_force_reachability(n, &edges);
+        let comps = tarjan_scc(&AdjList::from_edges(n, &edges));
+        let mut comp_of = vec![usize::MAX; n];
+        for (i, c) in comps.iter().enumerate() {
+            for &v in c {
+                prop_assert_eq!(comp_of[v], usize::MAX, "vertex {} in two components", v);
+                comp_of[v] = i;
+            }
+        }
+        for u in 0..n {
+            prop_assert!(comp_of[u] != usize::MAX, "vertex {} in no component", u);
+            for v in 0..n {
+                prop_assert_eq!(comp_of[u] == comp_of[v], reach[u][v] && reach[v][u]);
+            }
+        }
+        for &(u, v) in &edges {
+            prop_assert!(comp_of[u] >= comp_of[v], "edge {}->{} points to a later component", u, v);
+        }
+    }
 
     /// Johnson's algorithm finds exactly the brute-force cycle set.
     #[test]

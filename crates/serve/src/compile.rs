@@ -46,7 +46,7 @@ pub struct CompiledJob {
     pub plan: FaultPlan,
     /// Lint registry configuration.
     pub lint_config: LintConfig,
-    /// Classifier options (search fallback, budgets, SCC engine).
+    /// Classifier options (search fallback, budgets).
     pub classify_options: ClassifyOptions,
     /// Existence-engine budgets (the two-sided routability verdict).
     pub exist_options: ExistOptions,
@@ -79,7 +79,7 @@ impl CompiledJob {
     }
 
     /// The budgets of the job's one [`worm_core::Analysis`]: the
-    /// classifier's cycle/candidate budgets and SCC engine (lint's are
+    /// classifier's cycle/candidate budgets (lint's are
     /// resolved from the same verify keys) and the existence budgets,
     /// complete, since lint reads every candidate.
     pub fn analysis_options(&self) -> AnalysisOptions {

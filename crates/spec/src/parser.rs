@@ -766,31 +766,6 @@ impl Parser {
                     }
                     v.engine = Some(Spanned::new(e, id.span));
                 }
-                "scc" => {
-                    self.expect_tok(Tok::Eq, "`=` after `scc`")?;
-                    let id = self.ident("`hkmst` or `pearce_kelly`")?;
-                    let s = match id.value.as_str() {
-                        "hkmst" => SccName::Hkmst,
-                        "pearce_kelly" => SccName::PearceKelly,
-                        other => {
-                            return Err(self.error(
-                                codes::ENUM,
-                                format!(
-                                    "unknown SCC engine `{other}` (known: hkmst, pearce_kelly)"
-                                ),
-                                id.span,
-                            ));
-                        }
-                    };
-                    if v.scc.is_some() {
-                        return Err(self.error(
-                            codes::DUPLICATE_KEY,
-                            "key `scc` assigned twice",
-                            key.span,
-                        ));
-                    }
-                    v.scc = Some(Spanned::new(s, id.span));
-                }
                 "max_cycles" => set!(v.max_cycles, self.int("the cycle budget")),
                 "max_candidates" => set!(v.max_candidates, self.int("the candidate budget")),
                 "max_states" => set!(v.max_states, self.int("the state budget")),
@@ -966,6 +941,14 @@ mod tests {
                 .unwrap_err();
         assert_eq!(bad_key.code, codes::UNKNOWN_KEY);
 
+        // `scc` is not a verify key: acyclicity has one implementation.
+        let removed_key = parse(
+            "wormspec/1\ntopology { kind = ring nodes = 4 }\nrouting { engine = clockwise_ring }\nverify { scc = hkmst }\n",
+        )
+        .unwrap_err();
+        assert_eq!(removed_key.code, codes::UNKNOWN_KEY);
+        assert_eq!(removed_key.code, "E006");
+
         let dup =
             parse("wormspec/1\ntopology { kind = mesh kind = mesh }\nrouting { engine = x }\n")
                 .unwrap_err();
@@ -999,7 +982,6 @@ mod tests {
              }\n\
              verify {\n\
                engine = search\n\
-               scc = pearce_kelly\n\
                max_states = 100000\n\
                stall_budget = 2 cycles\n\
                lint { W101 = allow, W004 = deny }\n\
@@ -1011,7 +993,6 @@ mod tests {
         assert!(f.random.is_some());
         let v = spec.verify.as_ref().unwrap();
         assert_eq!(v.engine.as_ref().unwrap().value, VerifyEngine::Search);
-        assert_eq!(v.scc.as_ref().unwrap().value, SccName::PearceKelly);
         assert_eq!(v.lint.len(), 2);
         assert_eq!(spec.traffic.as_ref().unwrap().messages.len(), 1);
         assert_eq!(spec.traffic.as_ref().unwrap().pauses.len(), 1);
