@@ -14,8 +14,6 @@
 //!   into the cycle, and `a_i`, the number of channels the message
 //!   uses from its entry until its destination.
 
-use std::collections::BTreeMap;
-
 use wormnet::{ChannelId, Network};
 use wormroute::TableRouting;
 
@@ -111,45 +109,65 @@ impl SharingAnalysis {
 }
 
 /// Compute the sharing analysis for `candidate` over `cycle`.
+///
+/// One pass over the configuration's paths: each message's entry into
+/// the cycle is found once, cycle membership is a binary search, and
+/// the channel uses are grouped by one sort. A channel counts as
+/// inside the cycle when it is a cycle channel and every user reaches
+/// it at or after its own entry.
 pub fn analyze(
     net: &Network,
     table: &TableRouting,
     cycle: &CdgCycle,
     candidate: &DeadlockCandidate,
 ) -> SharingAnalysis {
-    let msgs: Vec<MsgPair> = candidate.messages();
-    // channel -> ordered users
-    let mut users: BTreeMap<ChannelId, Vec<MsgPair>> = BTreeMap::new();
-    for &m in &msgs {
-        let path = table
-            .path(m.0, m.1)
-            .expect("configuration messages are routed");
-        for &c in path.channels() {
-            users.entry(c).or_default().push(m);
-        }
+    let _ = net;
+    let mut cycle_channels = cycle.channels.clone();
+    cycle_channels.sort_unstable();
+    let in_cycle = |c: &ChannelId| cycle_channels.binary_search(c).is_ok();
+    // (channel, segment index, used at or after the message's entry).
+    let mut uses: Vec<(ChannelId, usize, bool)> = Vec::new();
+    for (seg, s) in candidate.segments.iter().enumerate() {
+        let chans = table
+            .path(s.msg.0, s.msg.1)
+            .expect("configuration messages are routed")
+            .channels();
+        let entry = chans.iter().position(in_cycle).unwrap_or(chans.len());
+        uses.extend(
+            chans
+                .iter()
+                .enumerate()
+                .map(|(pos, &c)| (c, seg, pos >= entry)),
+        );
     }
-    let shared = users
-        .into_iter()
-        .filter(|(_, u)| u.len() >= 2)
-        .map(|(channel, u)| {
-            let inside = cycle.contains(channel)
-                && u.iter().all(|&m| {
-                    let g = geometry(net, table, cycle, m, None);
-                    let path = table.path(m.0, m.1).expect("routed");
-                    let pos = path
-                        .channels()
-                        .iter()
-                        .position(|&c| c == channel)
-                        .expect("user contains channel");
-                    pos >= g.entry_index
-                });
-            SharedChannel {
-                channel,
-                users: u,
-                inside_cycle: inside,
-            }
-        })
-        .collect();
+    // By channel, then segment order within a channel.
+    uses.sort_unstable();
+    let mut shared = Vec::new();
+    for group in uses.chunk_by(|a, b| a.0 == b.0) {
+        if group.len() < 2 {
+            continue;
+        }
+        let channel = group[0].0;
+        let users: Vec<MsgPair> = group
+            .iter()
+            .map(|&(_, seg, _)| candidate.segments[seg].msg)
+            .collect();
+        // A candidate's messages are distinct and a path never repeats
+        // a channel, so a channel's users are distinct.
+        debug_assert!(
+            {
+                let mut u = users.clone();
+                u.sort_unstable();
+                u.windows(2).all(|w| w[0] != w[1])
+            },
+            "shared channel {channel} lists a user twice"
+        );
+        shared.push(SharedChannel {
+            channel,
+            users,
+            inside_cycle: in_cycle(&channel) && group.iter().all(|&(_, _, after)| after),
+        });
+    }
     SharingAnalysis { shared }
 }
 

@@ -317,19 +317,18 @@ fn classify_static(
     if outside.next().is_some() {
         return StaticClass::OutOfScope;
     }
-    let mut users = shared.users.clone();
-    users.sort_unstable();
-    users.dedup();
+    // A shared channel's users are distinct (`sharing::analyze`).
+    let sharers = shared.users.len();
     // Theorem 4: exactly two sharers.
-    if users.len() == 2 {
+    if sharers == 2 {
         return StaticClass::TwoSharers;
     }
     // Theorem 3: minimal routing, every configuration message shares.
-    if users.len() == candidate.segments.len() && minimal() {
+    if sharers == candidate.segments.len() && minimal() {
         return StaticClass::MinimalAllShare;
     }
     // Theorem 5: exactly three sharers, decided by eight conditions.
-    if users.len() == 3 {
+    if sharers == 3 {
         if let Ok(ec) = eight_conditions(net, table, cycle, candidate, shared) {
             return StaticClass::ThreeSharers(ec);
         }

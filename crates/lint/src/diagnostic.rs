@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::lint::Lint;
+
 /// How seriously a reported finding is taken.
 ///
 /// Severity is a *policy* attached to a lint code, not a property of
@@ -75,17 +77,15 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// A diagnostic with empty entities/witness, to be filled in.
-    pub fn new(
-        code: &'static str,
-        lint: &'static str,
-        severity: Severity,
-        message: impl Into<String>,
-    ) -> Self {
+    /// A diagnostic of `lint` with empty entities/witness, to be
+    /// filled in. It starts at the lint's default severity;
+    /// [`Findings::emit`](crate::lint::Findings::emit) stamps the run's
+    /// effective one.
+    pub fn new(lint: &dyn Lint, message: impl Into<String>) -> Self {
         Diagnostic {
-            code,
-            lint,
-            severity,
+            code: lint.code(),
+            lint: lint.name(),
+            severity: lint.default_severity(),
             message: message.into(),
             entities: Vec::new(),
             witness: BTreeMap::new(),
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn render_includes_entities_and_witness() {
-        let d = Diagnostic::new("W001", "self-loop-channel", Severity::Deny, "channel loops")
+        let d = Diagnostic::new(&crate::lints::structure::SelfLoopChannel, "channel loops")
             .entity("channel", "n0->n0#0")
             .fact("index", 3);
         let r = d.render();

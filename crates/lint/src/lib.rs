@@ -62,6 +62,6 @@ pub mod spec;
 
 pub use diagnostic::{Diagnostic, Severity};
 pub use json::{reports_to_json, SCHEMA};
-pub use lint::Lint;
+pub use lint::{Findings, Lint};
 pub use registry::{LintConfig, LintReport, LintSummary, Registry, StaticVerdict};
 pub use worm_core::analysis::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};

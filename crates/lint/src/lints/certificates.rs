@@ -22,7 +22,7 @@
 //! and needs no certificate).
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::Analysis;
 
 /// `W208`: strictly increasing virtual-channel lanes along every path.
@@ -44,9 +44,9 @@ impl Lint for VcMonotoneCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         if !ctx.is_acyclic() {
-            return Vec::new();
+            return;
         }
         let mut multi_hop = 0usize;
         let mut max_lane = 0u8;
@@ -59,25 +59,25 @@ impl Lint for VcMonotoneCertificate {
             for w in chans.windows(2) {
                 let (a, b) = (ctx.net.channel(w[0]).vc(), ctx.net.channel(w[1]).vc());
                 if a >= b {
-                    return Vec::new();
+                    return;
                 }
                 max_lane = max_lane.max(b);
             }
         }
         if multi_hop == 0 {
-            return Vec::new();
+            return;
         }
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "deadlock-free by VC ordering: all {multi_hop} multi-hop path(s) use strictly increasing lanes (numbering channels by (lane, id) is acyclic)",
-            ),
-        )
-        .fact("multi_hop_paths", multi_hop)
-        .fact("max_lane", max_lane)
-        .fact("numbering", "(vc lane, channel id), lexicographic")]
+        out.emit(|| {
+            Diagnostic::new(
+                self,
+                format!(
+                    "deadlock-free by VC ordering: all {multi_hop} multi-hop path(s) use strictly increasing lanes (numbering channels by (lane, id) is acyclic)",
+                ),
+            )
+            .fact("multi_hop_paths", multi_hop)
+            .fact("max_lane", max_lane)
+            .fact("numbering", "(vc lane, channel id), lexicographic")
+        });
     }
 }
 
@@ -101,9 +101,9 @@ impl Lint for DownUpCertificate {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         if !ctx.is_acyclic() {
-            return Vec::new();
+            return;
         }
         let mut multi_hop = 0usize;
         for (_, path) in ctx.table.iter() {
@@ -113,25 +113,25 @@ impl Lint for DownUpCertificate {
             }
             let turn = idx.windows(2).take_while(|w| w[0] > w[1]).count();
             if !idx[turn..].windows(2).all(|w| w[0] < w[1]) {
-                return Vec::new();
+                return;
             }
         }
         if multi_hop == 0 {
-            return Vec::new();
+            return;
         }
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "deadlock-free by down/up ordering: all {multi_hop} multi-hop path(s) descend then ascend in node index, so no ascending channel ever waits on a descending one",
-            ),
-        )
-        .fact("multi_hop_paths", multi_hop)
-        .fact(
-            "numbering",
-            "descending channels by falling source index, then ascending channels by rising source index",
-        )]
+        out.emit(|| {
+            Diagnostic::new(
+                self,
+                format!(
+                    "deadlock-free by down/up ordering: all {multi_hop} multi-hop path(s) descend then ascend in node index, so no ascending channel ever waits on a descending one",
+                ),
+            )
+            .fact("multi_hop_paths", multi_hop)
+            .fact(
+                "numbering",
+                "descending channels by falling source index, then ascending channels by rising source index",
+            )
+        });
     }
 }
 

@@ -12,7 +12,7 @@
 use wormexist::{ExistenceVerdict, ObstructionKind};
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::Analysis;
 
 /// Most obstruction channels listed as entities before truncating.
@@ -37,29 +37,29 @@ impl Lint for ExistenceWitness {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let report = ctx.existence();
         if report.verdict != ExistenceVerdict::Exists {
-            return Vec::new();
+            return;
         }
         let Some(witness) = &report.witness else {
-            return Vec::new();
+            return;
         };
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "a deadlock-free routing exists: a {}-channel schedule covers all {} reachable pair(s) ({} certificate)",
-                witness.order.len(),
-                report.demands,
-                report.kind_name(),
-            ),
-        )
-        .fact("demands", report.demands)
-        .fact("kind", report.kind_name())
-        .fact("sccs", report.sccs)
-        .fact("witness_channels", witness.order.len())]
+        out.emit(|| {
+            Diagnostic::new(
+                self,
+                format!(
+                    "a deadlock-free routing exists: a {}-channel schedule covers all {} reachable pair(s) ({} certificate)",
+                    witness.order.len(),
+                    report.demands,
+                    report.kind_name(),
+                ),
+            )
+            .fact("demands", report.demands)
+            .fact("kind", report.kind_name())
+            .fact("sccs", report.sccs)
+            .fact("witness_channels", witness.order.len())
+        });
     }
 }
 
@@ -82,46 +82,43 @@ impl Lint for ExistenceObstruction {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let report = ctx.existence();
         let Some(obs) = &report.obstruction else {
-            return Vec::new();
+            return;
         };
-        let why = match &obs.kind {
-            ObstructionKind::Deficiency { required } => format!(
-                "its {}-node strongly connected component has only {} internal channel(s); one-way gossip needs {required}",
-                obs.nodes.len(),
-                obs.channels.len(),
-            ),
-            ObstructionKind::PrecedenceCycle { cycle } => format!(
-                "{} forced scheduling precedences between bottleneck channels form a cycle",
-                cycle.len(),
-            ),
-            ObstructionKind::Exhausted { states } => format!(
-                "exhaustive schedule search ({states} game states) refuted its {}-node component",
-                obs.nodes.len(),
-            ),
-        };
-        let mut d = Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!("no deadlock-free routing can exist: {why}"),
-        )
-        .fact("kind", obs.kind.name())
-        .fact("obstruction_nodes", obs.nodes.len())
-        .fact("obstruction_channels", obs.channels.len());
-        if let ObstructionKind::Deficiency { required } = &obs.kind {
-            d = d.fact("required_channels", required);
-        }
-        let listed = match &obs.kind {
-            ObstructionKind::PrecedenceCycle { cycle } => cycle,
-            _ => &obs.channels,
-        };
-        for &c in listed.iter().take(MAX_WITNESS_CHANNELS) {
-            d = d.entity("channel", ctx.net.channel(c));
-        }
-        vec![d]
+        out.emit(|| {
+            let why = match &obs.kind {
+                ObstructionKind::Deficiency { required } => format!(
+                    "its {}-node strongly connected component has only {} internal channel(s); one-way gossip needs {required}",
+                    obs.nodes.len(),
+                    obs.channels.len(),
+                ),
+                ObstructionKind::PrecedenceCycle { cycle } => format!(
+                    "{} forced scheduling precedences between bottleneck channels form a cycle",
+                    cycle.len(),
+                ),
+                ObstructionKind::Exhausted { states } => format!(
+                    "exhaustive schedule search ({states} game states) refuted its {}-node component",
+                    obs.nodes.len(),
+                ),
+            };
+            let mut d = Diagnostic::new(self, format!("no deadlock-free routing can exist: {why}"))
+                .fact("kind", obs.kind.name())
+                .fact("obstruction_nodes", obs.nodes.len())
+                .fact("obstruction_channels", obs.channels.len());
+            if let ObstructionKind::Deficiency { required } = &obs.kind {
+                d = d.fact("required_channels", required);
+            }
+            let listed = match &obs.kind {
+                ObstructionKind::PrecedenceCycle { cycle } => cycle,
+                _ => &obs.channels,
+            };
+            for &c in listed.iter().take(MAX_WITNESS_CHANNELS) {
+                d = d.entity("channel", ctx.net.channel(c));
+            }
+            d
+        });
     }
 }
 
@@ -144,22 +141,22 @@ impl Lint for DeadlockableButRoutable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         if ctx.existence().verdict != ExistenceVerdict::Exists || !ctx.statically_deadlockable() {
-            return Vec::new();
+            return;
         }
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "the table is at fault, not the fabric: this routing is statically deadlockable, but a {}-certificate schedule routes all {} reachable pair(s) deadlock-free",
-                ctx.existence().kind_name(),
-                ctx.existence().demands,
-            ),
-        )
-        .fact("demands", ctx.existence().demands)
-        .fact("kind", ctx.existence().kind_name())]
+        out.emit(|| {
+            Diagnostic::new(
+                self,
+                format!(
+                    "the table is at fault, not the fabric: this routing is statically deadlockable, but a {}-certificate schedule routes all {} reachable pair(s) deadlock-free",
+                    ctx.existence().kind_name(),
+                    ctx.existence().demands,
+                ),
+            )
+            .fact("demands", ctx.existence().demands)
+            .fact("kind", ctx.existence().kind_name())
+        });
     }
 }
 
@@ -182,23 +179,23 @@ impl Lint for ExistenceUndecided {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let report = ctx.existence();
         if report.verdict != ExistenceVerdict::Unknown {
-            return Vec::new();
+            return;
         }
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "existence undecided: {} component(s) over {} SCC(s) exhausted the certificate budgets with no witness and no obstruction",
-                report.components, report.sccs,
-            ),
-        )
-        .fact("components", report.components)
-        .fact("demands", report.demands)
-        .fact("sccs", report.sccs)]
+        out.emit(|| {
+            Diagnostic::new(
+                self,
+                format!(
+                    "existence undecided: {} component(s) over {} SCC(s) exhausted the certificate budgets with no witness and no obstruction",
+                    report.components, report.sccs,
+                ),
+            )
+            .fact("components", report.components)
+            .fact("demands", report.demands)
+            .fact("sccs", report.sccs)
+        });
     }
 }
 

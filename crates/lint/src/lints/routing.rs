@@ -6,7 +6,7 @@
 //! analysis); the lints here only format them.
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::lints::{pair_ref, walk, walk_channels};
 use crate::Analysis;
 use wormroute::properties::ClosureBreak;
@@ -31,29 +31,29 @@ impl Lint for NonMinimalRoute {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let detours = &ctx.properties().detours;
         let Some(worst) = detours.witness else {
-            return Vec::new();
+            return;
         };
-        let (pair, len, dist) = (worst.pair, worst.len, worst.distance);
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "{} of {} routed pair(s) take non-minimal paths (worst: {} uses {len} channels, distance {dist})",
-                detours.count,
-                ctx.table.len(),
-                pair_ref(ctx.net, pair),
-            ),
-        )
-        .entity("pair", pair_ref(ctx.net, pair))
-        .fact("nonminimal_pairs", detours.count)
-        .fact("worst_pair", pair_ref(ctx.net, pair))
-        .fact("worst_path", walk(ctx.net, routed(ctx, pair)))
-        .fact("worst_path_len", len)
-        .fact("worst_distance", dist)]
+        out.emit(|| {
+            let (pair, len, dist) = (worst.pair, worst.len, worst.distance);
+            Diagnostic::new(
+                self,
+                format!(
+                    "{} of {} routed pair(s) take non-minimal paths (worst: {} uses {len} channels, distance {dist})",
+                    detours.count,
+                    ctx.table.len(),
+                    pair_ref(ctx.net, pair),
+                ),
+            )
+            .entity("pair", pair_ref(ctx.net, pair))
+            .fact("nonminimal_pairs", detours.count)
+            .fact("worst_pair", pair_ref(ctx.net, pair))
+            .fact("worst_path", walk(ctx.net, routed(ctx, pair)))
+            .fact("worst_path_len", len)
+            .fact("worst_distance", dist)
+        });
     }
 }
 
@@ -68,14 +68,13 @@ fn routed<'t>(ctx: &Analysis<'t>, (s, d): wormroute::properties::Pair) -> &'t Pa
 fn closure_diag(
     lint: &dyn Lint,
     ctx: &Analysis<'_>,
-    severity: Severity,
     brk: ClosureBreak,
     expected: (&str, &[wormnet::ChannelId]),
     registered: (wormnet::NodeId, wormnet::NodeId),
 ) -> Diagnostic {
     let path = routed(ctx, brk.pair);
     let via = ctx.net.channel(path.channels()[brk.pos]).src();
-    Diagnostic::new(lint.code(), lint.name(), severity, String::new())
+    Diagnostic::new(lint, String::new())
         .entity("pair", pair_ref(ctx.net, brk.pair))
         .entity("node", ctx.net.node_name(via))
         .fact("pair", pair_ref(ctx.net, brk.pair))
@@ -112,20 +111,22 @@ impl Lint for SuffixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let breaks = &ctx.properties().suffix_breaks;
         let Some(brk) = breaks.witness else {
-            return Vec::new();
+            return;
         };
-        let chans = routed(ctx, brk.pair).channels();
-        let via = ctx.net.channel(chans[brk.pos]).src();
-        let expected = ("expected_suffix", &chans[brk.pos..]);
-        let mut d = closure_diag(self, ctx, severity, brk, expected, (via, brk.pair.1));
-        d.message = format!(
-            "routing is not suffix-closed: {} violation(s); e.g. the path for {} passes {} but {} is routed differently",
-            breaks.count, d.witness["pair"], d.witness["via"], d.witness["via"],
-        );
-        vec![d.fact("violations", breaks.count)]
+        out.emit(|| {
+            let chans = routed(ctx, brk.pair).channels();
+            let via = ctx.net.channel(chans[brk.pos]).src();
+            let expected = ("expected_suffix", &chans[brk.pos..]);
+            let mut d = closure_diag(self, ctx, brk, expected, (via, brk.pair.1));
+            d.message = format!(
+                "routing is not suffix-closed: {} violation(s); e.g. the path for {} passes {} but {} is routed differently",
+                breaks.count, d.witness["pair"], d.witness["via"], d.witness["via"],
+            );
+            d.fact("violations", breaks.count)
+        });
     }
 }
 
@@ -150,20 +151,22 @@ impl Lint for PrefixClosureViolation {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let breaks = &ctx.properties().prefix_breaks;
         let Some(brk) = breaks.witness else {
-            return Vec::new();
+            return;
         };
-        let chans = routed(ctx, brk.pair).channels();
-        let via = ctx.net.channel(chans[brk.pos]).src();
-        let expected = ("expected_prefix", &chans[..brk.pos]);
-        let mut d = closure_diag(self, ctx, severity, brk, expected, (brk.pair.0, via));
-        d.message = format!(
-            "routing is not prefix-closed: {} violation(s); e.g. the path for {} reaches {} off the registered route",
-            breaks.count, d.witness["pair"], d.witness["via"],
-        );
-        vec![d.fact("violations", breaks.count)]
+        out.emit(|| {
+            let chans = routed(ctx, brk.pair).channels();
+            let via = ctx.net.channel(chans[brk.pos]).src();
+            let expected = ("expected_prefix", &chans[..brk.pos]);
+            let mut d = closure_diag(self, ctx, brk, expected, (brk.pair.0, via));
+            d.message = format!(
+                "routing is not prefix-closed: {} violation(s); e.g. the path for {} reaches {} off the registered route",
+                breaks.count, d.witness["pair"], d.witness["via"],
+            );
+            d.fact("violations", breaks.count)
+        });
     }
 }
 
@@ -186,28 +189,28 @@ impl Lint for NodeRevisit {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let revisits = &ctx.properties().revisits;
         let Some(first) = revisits.witness else {
-            return Vec::new();
+            return;
         };
-        let pair = pair_ref(ctx.net, first.pair);
-        let node = ctx.net.node_name(first.node);
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "{} routed path(s) revisit a node; e.g. {pair} passes {node} twice",
-                revisits.count,
-            ),
-        )
-        .entity("pair", pair.clone())
-        .entity("node", node)
-        .fact("pair", pair)
-        .fact("path", walk(ctx.net, routed(ctx, first.pair)))
-        .fact("revisited_node", node)
-        .fact("revisiting_paths", revisits.count)]
+        out.emit(|| {
+            let pair = pair_ref(ctx.net, first.pair);
+            let node = ctx.net.node_name(first.node);
+            Diagnostic::new(
+                self,
+                format!(
+                    "{} routed path(s) revisit a node; e.g. {pair} passes {node} twice",
+                    revisits.count,
+                ),
+            )
+            .entity("pair", pair.clone())
+            .entity("node", node)
+            .fact("pair", pair)
+            .fact("path", walk(ctx.net, routed(ctx, first.pair)))
+            .fact("revisited_node", node)
+            .fact("revisiting_paths", revisits.count)
+        });
     }
 }
 
@@ -230,23 +233,23 @@ impl Lint for NodeFunctionForm {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         if !ctx.properties().node_function {
-            return Vec::new();
+            return;
         }
-        let cyclic = !ctx.is_acyclic();
-        vec![Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            if cyclic {
-                "algorithm has the form R : N x N -> C and a cyclic CDG: by Corollary 1 a reachable deadlock exists".to_string()
-            } else {
-                "algorithm has the form R : N x N -> C (every cyclic dependency would be a real deadlock; this CDG is acyclic)".to_string()
-            },
-        )
-        .fact("cdg_cyclic", cyclic)
-        .fact("suffix_closed", ctx.properties().suffix_closed)]
+        out.emit(|| {
+            let cyclic = !ctx.is_acyclic();
+            Diagnostic::new(
+                self,
+                if cyclic {
+                    "algorithm has the form R : N x N -> C and a cyclic CDG: by Corollary 1 a reachable deadlock exists"
+                } else {
+                    "algorithm has the form R : N x N -> C (every cyclic dependency would be a real deadlock; this CDG is acyclic)"
+                },
+            )
+            .fact("cdg_cyclic", cyclic)
+            .fact("suffix_closed", ctx.properties().suffix_closed)
+        });
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::lints::{pair_ref, walk};
 use crate::Analysis;
 
@@ -26,21 +26,14 @@ impl Lint for SelfLoopChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.net
-            .channels()
-            .filter(|c| c.src() == c.dst())
-            .map(|c| {
-                Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
-                    format!("channel {c} is a self-loop"),
-                )
-                .entity("channel", c)
-                .entity("node", ctx.net.node_name(c.src()))
-            })
-            .collect()
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        for c in ctx.net.channels().filter(|c| c.src() == c.dst()) {
+            out.emit(|| {
+                Diagnostic::new(self, format!("channel {c} is a self-loop"))
+                    .entity("channel", c)
+                    .entity("node", ctx.net.node_name(c.src()))
+            });
+        }
     }
 }
 
@@ -63,21 +56,21 @@ impl Lint for DuplicateChannel {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let mut seen = BTreeSet::new();
-        ctx.net
+        for c in ctx
+            .net
             .channels()
             .filter(|c| !seen.insert((c.src(), c.dst(), c.vc())))
-            .map(|c| {
+        {
+            out.emit(|| {
                 Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
+                    self,
                     format!("channel {c} duplicates an earlier channel on the same link and lane"),
                 )
                 .entity("channel", c)
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -101,27 +94,23 @@ impl Lint for UnroutablePairs {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         let nodes: Vec<_> = ctx.net.nodes().collect();
         if !ctx.net.is_strongly_connected() {
-            let dist = ctx.net.all_pairs_distances();
-            let witness = nodes
-                .iter()
-                .flat_map(|&u| nodes.iter().map(move |&v| (u, v)))
-                .find(|&(u, v)| u != v && dist[u.index()][v.index()].is_none());
-            let mut d = Diagnostic::new(
-                self.code(),
-                self.name(),
-                severity,
-                "network is not strongly connected".to_string(),
-            );
-            if let Some(pair) = witness {
-                d = d
-                    .entity("pair", pair_ref(ctx.net, pair))
-                    .fact("unreachable_pair", pair_ref(ctx.net, pair));
-            }
-            out.push(d);
+            out.emit(|| {
+                let dist = ctx.net.all_pairs_distances();
+                let witness = nodes
+                    .iter()
+                    .flat_map(|&u| nodes.iter().map(move |&v| (u, v)))
+                    .find(|&(u, v)| u != v && dist[u.index()][v.index()].is_none());
+                let mut d = Diagnostic::new(self, "network is not strongly connected");
+                if let Some(pair) = witness {
+                    d = d
+                        .entity("pair", pair_ref(ctx.net, pair))
+                        .fact("unreachable_pair", pair_ref(ctx.net, pair));
+                }
+                d
+            });
         }
         let missing: Vec<(wormnet::NodeId, wormnet::NodeId)> = nodes
             .iter()
@@ -129,22 +118,21 @@ impl Lint for UnroutablePairs {
             .filter(|&(u, v)| u != v && ctx.table.path(u, v).is_none())
             .collect();
         if !missing.is_empty() {
-            let mut d = Diagnostic::new(
-                self.code(),
-                self.name(),
-                severity,
-                format!(
-                    "routing table is not total: {} unrouted pair(s)",
-                    missing.len()
-                ),
-            )
-            .fact("unrouted_pairs", missing.len());
-            for &pair in missing.iter().take(3) {
-                d = d.entity("pair", pair_ref(ctx.net, pair));
-            }
-            out.push(d);
+            out.emit(|| {
+                let mut d = Diagnostic::new(
+                    self,
+                    format!(
+                        "routing table is not total: {} unrouted pair(s)",
+                        missing.len()
+                    ),
+                )
+                .fact("unrouted_pairs", missing.len());
+                for &pair in missing.iter().take(3) {
+                    d = d.entity("pair", pair_ref(ctx.net, pair));
+                }
+                d
+            });
         }
-        out
     }
 }
 
@@ -167,7 +155,7 @@ impl Lint for DeadChannel {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         // Past this many dead channels, collapse into one summary
         // diagnostic: a deliberately partial table (e.g. switch-only
         // fat-tree routing) would otherwise drown the report.
@@ -184,34 +172,29 @@ impl Lint for DeadChannel {
             .filter(|c| !used[c.id().index()])
             .collect();
         if dead.len() <= PER_CHANNEL_LIMIT {
-            return dead
-                .into_iter()
-                .map(|c| {
-                    Diagnostic::new(
-                        self.code(),
-                        self.name(),
-                        severity,
-                        format!("channel {c} is used by no routed path"),
-                    )
-                    .entity("channel", c)
-                })
-                .collect();
+            for c in dead {
+                out.emit(|| {
+                    Diagnostic::new(self, format!("channel {c} is used by no routed path"))
+                        .entity("channel", c)
+                });
+            }
+            return;
         }
-        let mut d = Diagnostic::new(
-            self.code(),
-            self.name(),
-            severity,
-            format!(
-                "{} of {} channels are used by no routed path",
-                dead.len(),
-                ctx.net.channel_count(),
-            ),
-        )
-        .fact("dead_channels", dead.len());
-        for (i, c) in dead.iter().take(3).enumerate() {
-            d = d.entity("channel", c).fact(format!("example_{i}"), c);
-        }
-        vec![d]
+        out.emit(|| {
+            let mut d = Diagnostic::new(
+                self,
+                format!(
+                    "{} of {} channels are used by no routed path",
+                    dead.len(),
+                    ctx.net.channel_count(),
+                ),
+            )
+            .fact("dead_channels", dead.len());
+            for (i, c) in dead.iter().take(3).enumerate() {
+                d = d.entity("channel", c).fact(format!("example_{i}"), c);
+            }
+            d
+        });
     }
 }
 
@@ -235,19 +218,16 @@ impl Lint for DeadPathTail {
     fn default_severity(&self) -> Severity {
         Severity::Deny
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         for (&(src, dst), path) in ctx.table.iter() {
             let nodes = path.nodes(ctx.net);
             let Some(first) = nodes[..nodes.len() - 1].iter().position(|&n| n == dst) else {
                 continue;
             };
-            let dead = nodes.len() - 1 - first;
-            out.push(
+            out.emit(|| {
+                let dead = nodes.len() - 1 - first;
                 Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
+                    self,
                     format!(
                         "path for {} passes through its destination at hop {first} and continues for {dead} dead channel(s)",
                         pair_ref(ctx.net, (src, dst)),
@@ -256,10 +236,9 @@ impl Lint for DeadPathTail {
                 .entity("pair", pair_ref(ctx.net, (src, dst)))
                 .fact("path", walk(ctx.net, path))
                 .fact("first_arrival_hop", first)
-                .fact("dead_channels", dead),
-            );
+                .fact("dead_channels", dead)
+            });
         }
-        out
     }
 }
 

@@ -8,7 +8,7 @@
 //! theorems say nothing and only exhaustive search can decide.
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::lints::pair_ref;
 use crate::{Analysis, CandidateAnalysis, CycleAnalysis, StaticClass};
 use wormcdg::sharing::{self, SharedChannel};
@@ -42,7 +42,6 @@ fn sharer_facts(
 ) -> Diagnostic {
     let mut users = shared.users.clone();
     users.sort_unstable();
-    users.dedup();
     d = d
         .entity("channel", ctx.net.channel(shared.channel))
         .fact("shared_channel", ctx.net.channel(shared.channel))
@@ -69,10 +68,9 @@ fn candidate_diag(
     ctx: &Analysis<'_>,
     cy: &CycleAnalysis,
     ca: &CandidateAnalysis,
-    severity: Severity,
     message: String,
 ) -> Diagnostic {
-    Diagnostic::new(lint.code(), lint.name(), severity, message)
+    Diagnostic::new(lint, message)
         .entity("cycle", cycle_ref(&cy.cycle))
         .fact("configuration", ca.candidate.describe(ctx.net))
         .fact("messages", ca.candidate.segments.len())
@@ -97,10 +95,9 @@ impl Lint for CdgCycleCensus {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.cycles
-            .iter()
-            .map(|cy| {
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        for cy in &ctx.cycles {
+            out.emit(|| {
                 let mut reachable = 0usize;
                 let mut unreachable = 0usize;
                 let mut open = 0usize;
@@ -117,9 +114,7 @@ impl Lint for CdgCycleCensus {
                     .filter(|ca| ca.sharing.outside().count() == 0)
                     .count();
                 Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
+                    self,
                     format!(
                         "cycle of {} channels: {} candidate configuration(s) ({reachable} reachable, {unreachable} unreachable, {open} undecided by theorems)",
                         cy.cycle.len(),
@@ -134,8 +129,8 @@ impl Lint for CdgCycleCensus {
                 .fact("theorem_unreachable", unreachable)
                 .fact("theorem_open", open)
                 .fact("candidates_sharing_inside_only", inside_only)
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -158,10 +153,12 @@ impl Lint for Theorem2NoOutsideSharing {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        for (cy, ca) in ctx
+            .candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::NoOutsideSharing))
-            .map(|(cy, ca)| {
+        {
+            out.emit(|| {
                 let inside: Vec<String> = ca
                     .sharing
                     .inside()
@@ -172,7 +169,6 @@ impl Lint for Theorem2NoOutsideSharing {
                     ctx,
                     cy,
                     ca,
-                    severity,
                     format!(
                         "reachable deadlock (Theorem 2): {}-message configuration shares no channel outside the cycle",
                         ca.candidate.segments.len(),
@@ -186,8 +182,8 @@ impl Lint for Theorem2NoOutsideSharing {
                         inside.join(", ")
                     },
                 )
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -210,25 +206,26 @@ impl Lint for Theorem4TwoSharers {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        for (cy, ca) in ctx
+            .candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::TwoSharers))
-            .map(|(cy, ca)| {
+        {
+            out.emit(|| {
                 let shared = single_outside(ca).expect("TwoSharers has one outside channel");
                 let d = candidate_diag(
                     self,
                     ctx,
                     cy,
                     ca,
-                    severity,
                     format!(
                         "reachable deadlock (Theorem 4): two messages share outside channel {}",
                         ctx.net.channel(shared.channel),
                     ),
                 );
                 sharer_facts(ctx, &cy.cycle, shared, d)
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -252,8 +249,8 @@ impl Lint for Theorem5Unreachable {
     fn default_severity(&self) -> Severity {
         Severity::Allow
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        scorecards(self, ctx, severity, true)
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        scorecards(self, ctx, out, true)
     }
 }
 
@@ -277,27 +274,19 @@ impl Lint for Theorem5Reachable {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        scorecards(self, ctx, severity, false)
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        scorecards(self, ctx, out, false)
     }
 }
 
 /// Emit Theorem 5 scorecard diagnostics for candidates whose
 /// `unreachable()` verdict matches `want_unreachable`.
-fn scorecards(
-    lint: &dyn Lint,
-    ctx: &Analysis<'_>,
-    severity: Severity,
-    want_unreachable: bool,
-) -> Vec<Diagnostic> {
-    ctx.candidates()
-        .filter_map(|(cy, ca)| match &ca.class {
-            StaticClass::ThreeSharers(ec) if ec.unreachable() == want_unreachable => {
-                Some((cy, ca, ec))
-            }
-            _ => None,
-        })
-        .map(|(cy, ca, ec)| {
+fn scorecards(lint: &dyn Lint, ctx: &Analysis<'_>, out: &mut Findings, want_unreachable: bool) {
+    for (cy, ca, ec) in ctx.candidates().filter_map(|(cy, ca)| match &ca.class {
+        StaticClass::ThreeSharers(ec) if ec.unreachable() == want_unreachable => Some((cy, ca, ec)),
+        _ => None,
+    }) {
+        out.emit(|| {
             let shared = single_outside(ca).expect("ThreeSharers has one outside channel");
             let message = if want_unreachable {
                 "false resource cycle (Theorem 5): all eight conditions hold, the configuration is unreachable".to_string()
@@ -311,7 +300,7 @@ fn scorecards(
                         .join(","),
                 )
             };
-            let mut d = candidate_diag(lint, ctx, cy, ca, severity, message);
+            let mut d = candidate_diag(lint, ctx, cy, ca, message);
             d = sharer_facts(ctx, &cy.cycle, shared, d);
             d = d
                 .fact("m_x", pair_ref(ctx.net, ec.x))
@@ -321,8 +310,8 @@ fn scorecards(
                 d = d.fact(format!("condition_{}", i + 1), if *ok { "holds" } else { "violated" });
             }
             d
-        })
-        .collect()
+        });
+    }
 }
 
 /// `W206`: Theorem 3 certificates — minimal routing, everyone shares.
@@ -344,17 +333,18 @@ impl Lint for Theorem3MinimalAllShare {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        ctx.candidates()
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
+        for (cy, ca) in ctx
+            .candidates()
             .filter(|(_, ca)| matches!(ca.class, StaticClass::MinimalAllShare))
-            .map(|(cy, ca)| {
+        {
+            out.emit(|| {
                 let shared = single_outside(ca).expect("MinimalAllShare has one outside channel");
                 let d = candidate_diag(
                     self,
                     ctx,
                     cy,
                     ca,
-                    severity,
                     format!(
                         "reachable deadlock (Theorem 3): minimal routing, all {} messages share {}",
                         ca.candidate.segments.len(),
@@ -362,8 +352,8 @@ impl Lint for Theorem3MinimalAllShare {
                     ),
                 );
                 sharer_facts(ctx, &cy.cycle, shared, d)
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -386,68 +376,51 @@ impl Lint for OutOfScopeCycle {
     fn default_severity(&self) -> Severity {
         Severity::Warn
     }
-    fn check(&self, ctx: &Analysis<'_>, severity: Severity) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
+    fn check(&self, ctx: &Analysis<'_>, out: &mut Findings) {
         if !ctx.cycles_complete {
-            out.push(
+            out.emit(|| {
                 Diagnostic::new(
-                    self.code(),
-                    self.name(),
-                    severity,
+                    self,
                     format!(
                         "CDG cycle enumeration budget exceeded after {} cycle(s): the spec cannot be certified free statically",
                         ctx.cycles.len(),
                     ),
                 )
-                .fact("cycles_enumerated", ctx.cycles.len()),
-            );
+                .fact("cycles_enumerated", ctx.cycles.len())
+            });
         }
         for cy in &ctx.cycles {
             if !cy.enumeration_complete {
-                out.push(
+                out.emit(|| {
                     Diagnostic::new(
-                        self.code(),
-                        self.name(),
-                        severity,
-                        "candidate enumeration budget exceeded: the cycle cannot be certified free"
-                            .to_string(),
+                        self,
+                        "candidate enumeration budget exceeded: the cycle cannot be certified free",
                     )
-                    .entity("cycle", cycle_ref(&cy.cycle)),
-                );
+                    .entity("cycle", cycle_ref(&cy.cycle))
+                });
             }
             for ca in &cy.candidates {
                 if !matches!(ca.class, StaticClass::OutOfScope) {
                     continue;
                 }
-                let outside: Vec<_> = ca.sharing.outside().collect();
-                let sharers = outside
-                    .iter()
-                    .map(|s| {
-                        let mut u = s.users.clone();
-                        u.sort_unstable();
-                        u.dedup();
-                        u.len()
-                    })
-                    .max()
-                    .unwrap_or(0);
-                out.push(
+                out.emit(|| {
+                    let outside: Vec<_> = ca.sharing.outside().collect();
+                    let sharers = outside.iter().map(|s| s.users.len()).max().unwrap_or(0);
                     candidate_diag(
                         self,
                         ctx,
                         cy,
                         ca,
-                        severity,
                         format!(
                             "Theorems 2-5 do not apply ({} outside shared channel(s), up to {sharers} sharers): verdict requires exhaustive search",
                             outside.len(),
                         ),
                     )
                     .fact("outside_shared_channels", outside.len())
-                    .fact("max_sharers", sharers),
-                );
+                    .fact("max_sharers", sharers)
+                });
             }
         }
-        out
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::diagnostic::{Diagnostic, Severity};
-use crate::lint::Lint;
+use crate::lint::{Findings, Lint};
 use crate::lints::default_lints;
 use worm_core::{Analysis, AnalysisOptions, Scope};
 use wormexist::ExistOptions;
@@ -215,8 +215,9 @@ impl Registry {
     /// Diagnostics are re-sorted by `(code, entities, message)` so the
     /// report is deterministic regardless of lint registration order.
     pub fn check(&self, ctx: &Analysis<'_>, config: &LintConfig) -> LintReport {
-        let mut diagnostics = Vec::new();
-        let verdict = self.visit(ctx, config, |found| diagnostics.extend(found));
+        let mut out = Findings::collecting();
+        let verdict = self.visit(ctx, config, &mut out).verdict;
+        let mut diagnostics = out.into_diagnostics();
         diagnostics.sort_by(|a, b| {
             (a.code, &a.entities, &a.message).cmp(&(b.code, &b.entities, &b.message))
         });
@@ -227,40 +228,16 @@ impl Registry {
     }
 
     /// [`check`](Registry::check) reduced to its counts — what a
-    /// `wormserve/1` lint block reports. Each lint's diagnostics are
-    /// counted and dropped, so at most one lint's findings are held at
-    /// a time (tens of thousands of candidate certificates on the
-    /// cyclic fabrics).
+    /// `wormserve/1` lint block reports. The lints emit into a counting
+    /// [`Findings`], so no diagnostic is rendered (tens of thousands of
+    /// candidate certificates on the cyclic fabrics).
     pub fn summarize(&self, ctx: &Analysis<'_>, config: &LintConfig) -> LintSummary {
-        let mut counts = BTreeMap::new();
-        let (mut allow, mut warn, mut deny) = (0, 0, 0);
-        let verdict = self.visit(ctx, config, |found| {
-            for d in &found {
-                *counts.entry(d.code).or_insert(0) += 1;
-                *match d.severity {
-                    Severity::Allow => &mut allow,
-                    Severity::Warn => &mut warn,
-                    Severity::Deny => &mut deny,
-                } += 1;
-            }
-        });
-        LintSummary {
-            counts,
-            allow,
-            warn,
-            deny,
-            verdict,
-        }
+        self.visit(ctx, config, &mut Findings::counting())
     }
 
-    /// Run every lint over `ctx`, handing each one's diagnostics to
-    /// `sink`, and fold the static verdict.
-    fn visit(
-        &self,
-        ctx: &Analysis<'_>,
-        config: &LintConfig,
-        mut sink: impl FnMut(Vec<Diagnostic>),
-    ) -> StaticVerdict {
+    /// Run every lint over `ctx` into `out`, counting its findings per
+    /// code and severity, and fold the static verdict.
+    fn visit(&self, ctx: &Analysis<'_>, config: &LintConfig, out: &mut Findings) -> LintSummary {
         assert_eq!(
             ctx.scope(),
             Scope::Complete,
@@ -268,30 +245,33 @@ impl Registry {
         );
         let _span = wormtrace::span("lint.run");
         wormtrace::counter("lint.runs", 1);
-        let mut total = 0;
+        let mut counts = BTreeMap::new();
+        let (mut allow, mut warn, mut deny) = (0, 0, 0);
         for lint in &self.lints {
             let severity = config.severity_for(lint.as_ref());
-            let found = lint.check(ctx, severity);
-            debug_assert!(
-                found.iter().all(|d| d.code == lint.code()
-                    && d.lint == lint.name()
-                    && d.severity == severity),
-                "lint {} emitted a mislabelled diagnostic",
-                lint.code()
-            );
-            if !found.is_empty() {
-                let name = match severity {
-                    Severity::Allow => "lint.allow",
-                    Severity::Warn => "lint.warn",
-                    Severity::Deny => "lint.deny",
-                };
-                wormtrace::counter(name, found.len() as u64);
-                total += found.len();
+            out.start(lint.as_ref(), severity);
+            lint.check(ctx, out);
+            let found = out.emitted();
+            if found == 0 {
+                continue;
             }
-            sink(found);
+            counts.insert(lint.code(), found);
+            let (name, total) = match severity {
+                Severity::Allow => ("lint.allow", &mut allow),
+                Severity::Warn => ("lint.warn", &mut warn),
+                Severity::Deny => ("lint.deny", &mut deny),
+            };
+            wormtrace::counter(name, found as u64);
+            *total += found;
         }
-        wormtrace::counter("lint.diagnostics", total as u64);
-        verdict(ctx)
+        wormtrace::counter("lint.diagnostics", (allow + warn + deny) as u64);
+        LintSummary {
+            counts,
+            allow,
+            warn,
+            deny,
+            verdict: verdict(ctx),
+        }
     }
 }
 

@@ -9,11 +9,17 @@
 //! can be replayed without rerunning any engine and without byte drift.
 //!
 //! Stores write to a `.tmp` sibling and rename into place, so a crash
-//! mid-write can leave a stray temp file but never a torn entry.
+//! mid-write can leave a stray temp file but never a torn entry. Each
+//! store gets a temp name of its own (process id plus a counter):
+//! workers that compute the same spec at once never write one file.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Stores started by this process, numbering their temp files.
+static STORES: AtomicU64 = AtomicU64::new(0);
 
 /// A directory of verdict documents keyed by canonical spec hash.
 pub struct ResultCache {
@@ -45,9 +51,15 @@ impl ResultCache {
 
     /// Store `verdict` under `hash` atomically (write-temp + rename).
     pub fn store(&self, hash: &str, verdict: &str) -> io::Result<()> {
-        let tmp = self.dir.join(format!("{hash}.json.tmp"));
-        fs::write(&tmp, verdict)?;
-        fs::rename(&tmp, self.entry_path(hash))
+        let n = STORES.fetch_add(1, Ordering::Relaxed);
+        let tmp = self
+            .dir
+            .join(format!("{hash}.json.{}.{n}.tmp", std::process::id()));
+        fs::write(&tmp, verdict)
+            .and_then(|()| fs::rename(&tmp, self.entry_path(hash)))
+            .inspect_err(|_| {
+                let _ = fs::remove_file(&tmp);
+            })
     }
 
     /// Entry count (for monitoring and tests).
@@ -87,6 +99,47 @@ mod tests {
         cache.store("00112233aabbccdd", verdict).unwrap();
         assert_eq!(cache.lookup("00112233aabbccdd").as_deref(), Some(verdict));
         assert_eq!(cache.len(), 1);
+        let _ = fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn concurrent_stores_of_one_hash_never_tear() {
+        const HASH: &str = "0123456789abcdef";
+        let cache = ResultCache::open(tmpdir("concurrent")).unwrap();
+        let verdict: String = (0..1 << 20)
+            .map(|i| (b'a' + (i % 26) as u8) as char)
+            .collect();
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (stores, torn) = std::thread::scope(|s| {
+            let writers: Vec<_> = (0..4)
+                .map(|_| s.spawn(|| (0..32).try_for_each(|_| cache.store(HASH, &verdict))))
+                .collect();
+            let reader = s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    match cache.lookup(HASH) {
+                        Some(found) if found != verdict => return Some(found.len()),
+                        _ => {}
+                    }
+                }
+                None
+            });
+            let stores: Vec<_> = writers.into_iter().map(|w| w.join().unwrap()).collect();
+            done.store(true, Ordering::Relaxed);
+            (stores, reader.join().unwrap())
+        });
+        assert_eq!(
+            torn, None,
+            "a lookup replayed a torn entry of this many bytes"
+        );
+        for result in stores {
+            result.expect("every store succeeds");
+        }
+        assert_eq!(cache.lookup(HASH).as_deref(), Some(verdict.as_str()));
+        let names: Vec<_> = fs::read_dir(cache.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, [format!("{HASH}.json")], "no temp file is left");
         let _ = fs::remove_dir_all(cache.dir());
     }
 

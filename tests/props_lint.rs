@@ -24,6 +24,7 @@ use cyclic_wormhole::net::Network;
 use cyclic_wormhole::route::algorithms::random_table;
 use cyclic_wormhole::route::TableRouting;
 use cyclic_wormhole::search::{explore, SearchConfig};
+use cyclic_wormhole::serve::{compile, CompiledJob};
 use cyclic_wormhole::sim::{MessageSpec, Sim};
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -207,9 +208,45 @@ fn deadlock_certificates_are_search_confirmed() {
     assert!(confirmed >= 6, "only {confirmed} certificates confirmed");
 }
 
+/// The cyclic-fabric specs whose candidate counts make the counting
+/// reader matter, by name. Clockwise ring 8 overruns the default
+/// candidate budget.
+fn cyclic_family_specs() -> Vec<(&'static str, CompiledJob)> {
+    let named = |topology: &str, engine: &str| {
+        format!("wormspec/1\ntopology {{\n{topology}}}\nrouting {{\n  engine = {engine}\n}}\n")
+    };
+    [
+        (
+            "ring-clockwise 8",
+            named("  kind = ring\n  nodes = 8\n", "clockwise_ring"),
+        ),
+        (
+            "dragonfly-novc 3x2",
+            named(
+                "  kind = dragonfly\n  groups = 3\n  routers = 2\n  local_lanes = [0]\n  global_lanes = [0]\n",
+                "dragonfly_minimal",
+            ),
+        ),
+        (
+            "dragonfly-valiant 3x2 minimal-lanes",
+            named(
+                "  kind = dragonfly\n  groups = 3\n  routers = 2\n",
+                "dragonfly_valiant",
+            ),
+        ),
+        (
+            "fullmesh-ring-detour 5",
+            named("  kind = complete\n  nodes = 5\n", "fullmesh_ring_detour"),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, text)| (name, compile(&text).expect("spec compiles")))
+    .collect()
+}
+
 /// The counting reader `wormserve` renders from agrees with the full
-/// report on every corpus target, under default and overridden
-/// severities.
+/// report on every corpus target and on the cyclic fabric families,
+/// under default and overridden severities.
 #[test]
 fn summaries_match_full_reports() {
     let registry = Registry::with_default_lints();
@@ -220,12 +257,28 @@ fn summaries_match_full_reports() {
     promoted
         .overrides
         .insert("W201".to_string(), wormlint::Severity::Warn);
-    for config in [LintConfig::default(), promoted] {
-        for t in corpus() {
-            let analysis = Analysis::build(&t.net, &t.table, &config.analysis_options());
-            let report = registry.check(&analysis, &config);
-            let summary = registry.summarize(&analysis, &config);
-            assert_eq!(summary.counts, report.counts_by_code(), "{}", t.name);
+    let mut denied = LintConfig::default();
+    for code in ["W202", "W207"] {
+        denied
+            .overrides
+            .insert(code.to_string(), wormlint::Severity::Deny);
+    }
+    let corpus = corpus();
+    let families = cyclic_family_specs();
+    let targets = corpus
+        .iter()
+        .map(|t| (t.name.as_str(), &t.net, &t.table))
+        .chain(
+            families
+                .iter()
+                .map(|(name, job)| (*name, job.network(), &job.table)),
+        );
+    for (name, net, table) in targets {
+        for config in [&LintConfig::default(), &promoted, &denied] {
+            let analysis = Analysis::build(net, table, &config.analysis_options());
+            let report = registry.check(&analysis, config);
+            let summary = registry.summarize(&analysis, config);
+            assert_eq!(summary.counts, report.counts_by_code(), "{name}");
             assert_eq!(
                 (summary.allow, summary.warn, summary.deny, summary.verdict),
                 (
@@ -234,9 +287,13 @@ fn summaries_match_full_reports() {
                     report.deny_count(),
                     report.verdict
                 ),
-                "{}",
-                t.name
+                "{name}"
             );
+            if name == "ring-clockwise 8" {
+                // Every enumerated candidate plus the budget line.
+                assert_eq!(summary.counts["W202"], 10_001, "{name}");
+                assert_eq!(summary.counts["W207"], 1, "{name}");
+            }
         }
     }
 }
